@@ -30,9 +30,9 @@ def main():
         model = noise.white_noise(GAMMA)
         res = sde.simulate_paths(np.zeros_like(S), S, model, phi0, cfg)
         worst = 0.0
-        for p, traj in enumerate(res.trajectories):
-            dx = np.array([st.x for st in traj.states]) - res.initial_x[p]
-            worst = max(worst, np.max(np.abs(traj.fidelities - law.evaluate(dx))))
+        for p, fids in enumerate(res.fidelities):
+            dx = res.xs[p] - res.initial_x[p]
+            worst = max(worst, np.max(np.abs(fids - law.evaluate(dx))))
         print(f"{name}: {N_PATHS} paths, worst |F_sim - F_law(DX)| = {worst:.2e}")
     print("the residual is pure integrator error; it shrinks with dt^2")
 

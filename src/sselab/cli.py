@@ -4,7 +4,8 @@
     sselab presets
 
 Exit codes: 0 success, 1 config error, 2 run failure or --check breach.
-SSELAB_THREADS caps the path workers; results do not depend on it.
+Results depend only on the config and the seed: each Monte-Carlo path
+draws from its own random stream.
 """
 
 import argparse

@@ -41,8 +41,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in (WHITE, OU):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.gamma < 0 or self.k < 0:
-            raise ValueError("gamma and k must be non-negative")
+        if not (0 <= self.gamma < math.inf and 0 <= self.k < math.inf):
+            raise ValueError("gamma and k must be non-negative and finite")
         if self.kind == WHITE and (self.k != 0 or self.init != CALIBRATED):
             raise ValueError("white noise requires k=0 and calibrated start")
         if self.init not in (CALIBRATED, STATIONARY):

@@ -202,6 +202,14 @@ def _op_class(op):
 
 
 def _validate(scn):
+    # approx-order runs scan the closures to scan_t, or to t when scan_t is 0
+    scan = scn.scan_T or (scn.sim.T if scn.name == "approx-order" else 0.0)
+    ratio = scan / approx_mod.DEFAULT_DT
+    if not 0 <= scan < math.inf or abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
+        raise ConfigError(
+            f"the closure scan length must be a non-negative multiple of "
+            f"{approx_mod.DEFAULT_DT:g}, got {scan!r}"
+        )
     if scn.name == "noncommuting":
         if scn.h_spec not in ("X", "Y", "Z") or scn.noise_spec not in ("X", "Y", "Z"):
             raise ConfigError("noncommuting scenarios need single Pauli axes")
@@ -231,6 +239,9 @@ def _validate(scn):
         raise ConfigError("hamiltonian must commute with the noise operator")
     if scn.name == "distribution" and not scn.t_slices:
         raise ConfigError("distribution scenarios need t_slices")
+    for t in scn.t_slices:
+        if _slot_for(scn, t) is None:
+            raise ConfigError(f"t_slice {t} is not on the recording grid")
 
 
 def scenario_law(scn):
@@ -359,11 +370,13 @@ def run_scenario(scn):
 
 
 def _slot_for(scn, t):
+    """Index of time t on the recording grid, or None if t is off it."""
     grid_dt = scn.sim.dt * scn.sim.record_every
+    if not math.isfinite(t):
+        return None
     slot = int(round(t / grid_dt))
-    if abs(slot * grid_dt - t) > 1e-9 or not (0 <= slot <= scn.sim.n_steps // scn.sim.record_every):
-        raise ConfigError(f"t_slice {t} is not on the recording grid")
-    return slot
+    n_slots = scn.sim.n_steps // scn.sim.record_every
+    return slot if abs(slot * grid_dt - t) <= 1e-9 and 0 <= slot <= n_slots else None
 
 
 def _fmt(x):

@@ -12,13 +12,11 @@ closed-form law in the package: it never consults them.
 
 Reproducibility: path i draws from its own Philox(master_seed, i)
 stream, in a fixed order (initial noise value first, then one normal
-per step), so results are bit-identical for any worker count.
+per step), so the output depends only on the config and the seed.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -61,11 +59,12 @@ class SimConfig:
     master_seed: int = 0
     record_every: int = 1
     keep_states: bool = False
-    workers: Optional[int] = None
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
+        if not 0 <= self.T < math.inf:
+            raise ValueError("T must be non-negative and finite")
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
         if self.scheme not in SCHEMES:
@@ -79,13 +78,6 @@ class SimConfig:
     @property
     def n_steps(self):
         return int(round(self.T / self.dt))
-
-
-@dataclass
-class Trajectory:
-    times: np.ndarray
-    states: tuple
-    fidelities: np.ndarray
 
 
 @dataclass
@@ -104,39 +96,25 @@ class SimulationResult:
     path_indices: np.ndarray      # original path ids of the rows above
     initial_x: np.ndarray
     terminal_x: np.ndarray
-    trajectories: tuple
+    states: Optional[np.ndarray]  # (n_completed, n_rec, d) if keep_states
+    xs: Optional[np.ndarray]      # (n_completed, n_rec) noise values, likewise
     summary: SummaryTable
     aborted: tuple                # ((path index, step index), ...)
     max_norm_drift: float
     max_range_violation: float
 
 
-def _check_problem(H, S, phi0):
+def _check_ops(H, S, d):
     H = np.asarray(H, dtype=complex)
     S = np.asarray(S, dtype=complex)
-    phi0 = qstate.as_state(phi0)
-    d = phi0.shape[0]
     if H.shape != (d, d) or S.shape != (d, d):
         raise ValueError("H, S and the state have inconsistent dimensions")
-    return H, S, phi0
+    return H, S
 
 
-def drift_diffusion(Y, H, S, model):
-    """Drift and diffusion of the joint SDE at Y, per unit dt and dW.
-
-    Returns ((a_psi, a_x), (b_psi, b_x)) with
-    a_psi = (-iH + ikXS - (gamma^2/2) S'S) psi, b_psi = -i gamma S psi,
-    a_x = -kX, b_x = gamma.
-    """
-    psi = np.asarray(Y.psi, dtype=complex)
-    d = psi.shape[0]
-    if H.shape != (d, d) or S.shape != (d, d):
-        raise ValueError("H, S and the state have inconsistent dimensions")
-    g, k = model.gamma, model.k
-    a_psi = (-1j) * (H @ psi) + (1j * k * Y.x) * (S @ psi) \
-        - 0.5 * g * g * (S.conj().T @ (S @ psi))
-    b_psi = (-1j * g) * (S @ psi)
-    return (a_psi, -k * Y.x), (b_psi, g)
+def _kernel_ops(H, S, g):
+    """(D0, ST, BT) for `_chunk_step`."""
+    return ((-1j) * H - 0.5 * g * g * (S.conj().T @ S)).T, S.T, ((-1j * g) * S).T
 
 
 def _chunk_step(psi, x, N, scheme, dt, D0, ST, BT, k, g, renormalize):
@@ -180,19 +158,13 @@ def step(Y, H, S, model, config, stream, normal=None):
     `normal` overrides the draw (used by deterministic tests).  Raises
     PathAbortError on NaN or norm blow-up past 1.5.
     """
-    H = np.asarray(H, dtype=complex)
-    S = np.asarray(S, dtype=complex)
-    d = np.asarray(Y.psi).shape[0]
-    if H.shape != (d, d) or S.shape != (d, d):
-        raise ValueError("H, S and the state have inconsistent dimensions")
+    H, S = _check_ops(H, S, np.asarray(Y.psi).shape[0])
     N = float(stream.standard_normal()) if normal is None else float(normal)
     g, k = model.gamma, model.k
-    D0 = ((-1j) * H - 0.5 * g * g * (S.conj().T @ S)).T
-    psi = np.asarray(Y.psi, dtype=complex)[None, :]
-    x = np.array([float(Y.x)])
     psi1, x1, norms = _chunk_step(
-        psi, x, np.array([N]), config.scheme, config.dt,
-        D0, S.T, ((-1j * g) * S).T, k, g, config.renormalize,
+        np.asarray(Y.psi, dtype=complex)[None, :], np.array([float(Y.x)]),
+        np.array([N]), config.scheme, config.dt, *_kernel_ops(H, S, g), k, g,
+        config.renormalize,
     )
     if not np.all(np.isfinite(psi1)) or norms[0] > ABORT_NORM:
         raise PathAbortError(f"path aborted: norm {norms[0]:.4g}")
@@ -207,10 +179,12 @@ def target_evolution(H, phi0, t):
 
 
 def _resolve_workers(config):
-    if config.workers is not None:
-        return max(1, int(config.workers))
-    env = os.environ.get("SSELAB_THREADS", "")
-    return max(1, int(env)) if env.strip() else 1
+    """Always 1: paths run in a single thread.
+
+    Kept only because the benchmark harness (bench/run.py) records this
+    value for each repetition; drop it once the harness stops reading it.
+    """
+    return 1
 
 
 def simulate_paths(H, S, model, phi0, config):
@@ -221,8 +195,9 @@ def simulate_paths(H, S, model, phi0, config):
     diagnostics.  More than 1% aborted paths raises PathAbortError; a
     pre-clamp fidelity excursion beyond 1e-6 raises FidelityRangeError.
     """
-    H, S, phi0 = _check_problem(H, S, phi0)
+    phi0 = qstate.as_state(phi0)
     d = phi0.shape[0]
+    H, S = _check_ops(H, S, d)
     g, k = model.gamma, model.k
     n_steps = config.n_steps
     rec_every = config.record_every
@@ -233,91 +208,59 @@ def simulate_paths(H, S, model, phi0, config):
     for i, t in enumerate(times):
         targets[i] = target_evolution(H, phi0, t)
     targets_conj = targets.conj()
-
-    D0 = ((-1j) * H - 0.5 * g * g * (S.conj().T @ S)).T
-    ST = S.T
-    BT = ((-1j * g) * S).T
+    ops = _kernel_ops(H, S, g)
 
     n_paths = config.n_paths
-    fids = np.full((n_paths, n_rec), np.nan)
-    x0s = np.zeros(n_paths)
-    xTs = np.full(n_paths, np.nan)
-    states_store = (
-        np.empty((n_paths, n_rec, d), dtype=complex) if config.keep_states else None
-    )
-    xs_store = np.empty((n_paths, n_rec)) if config.keep_states else None
+    fids = np.empty((n_paths, n_rec))
+    states = np.empty((n_paths, n_rec, d), dtype=complex) if config.keep_states else None
+    xs = np.empty((n_paths, n_rec)) if config.keep_states else None
     abort_step = np.full(n_paths, -1, dtype=np.int64)
-    norm_drift = np.zeros(n_paths)
+    drift = np.zeros(n_paths)
 
-    def run_chunk(idx):
-        B = len(idx)
-        gens = [
-            np.random.Generator(
-                np.random.Philox(key=[config.master_seed & (2**64 - 1), int(i)])
+    seed = config.master_seed & (2**64 - 1)
+    gens = [np.random.Generator(np.random.Philox(key=[seed, i])) for i in range(n_paths)]
+    x0s = np.array([noise_mod.draw_initial(model, gen) for gen in gens])
+    x = x0s.copy()
+    psi = np.tile(phi0, (n_paths, 1))
+    alive = np.ones(n_paths, dtype=bool)
+
+    def record(slot):
+        # rows of aborted paths are recorded too, and dropped at the end
+        fids[:, slot] = np.abs(psi @ targets_conj[slot]) ** 2
+        if states is not None:
+            states[:, slot] = psi
+            xs[:, slot] = x
+
+    record(0)
+    step_no = 0
+    while step_no < n_steps:
+        tb = min(TIME_BLOCK, n_steps - step_no)
+        normals = np.empty((n_paths, tb))
+        for j, gen in enumerate(gens):
+            normals[j] = gen.standard_normal(tb)
+        for s in range(tb):
+            psi, x, norms = _chunk_step(
+                psi, x, normals[:, s], config.scheme, config.dt, *ops, k, g,
+                config.renormalize,
             )
-            for i in idx
-        ]
-        x = np.array([noise_mod.draw_initial(model, gen) for gen in gens])
-        x0s[idx] = x
-        psi = np.tile(phi0, (B, 1))
-        alive = np.ones(B, dtype=bool)
-        drift = np.zeros(B)
+            step_no += 1
+            bad = alive & (~np.isfinite(norms) | (norms > ABORT_NORM) | ~np.isfinite(x))
+            if bad.any():
+                abort_step[bad] = step_no
+                alive &= ~bad
+                psi[bad] = 0.0
+                x[bad] = 0.0
+            np.maximum(drift, np.where(alive, np.abs(norms - 1.0), 0.0), out=drift)
+            if step_no % rec_every == 0:
+                record(step_no // rec_every)
 
-        def record(slot):
-            f = np.abs(psi @ targets_conj[slot]) ** 2
-            rows = idx[alive]
-            fids[rows, slot] = f[alive]
-            if states_store is not None:
-                states_store[idx, slot, :] = psi
-                states_store[idx[~alive], slot, :] = np.nan
-                xs_store[idx, slot] = np.where(alive, x, np.nan)
-
-        record(0)
-        step_no = 0
-        while step_no < n_steps:
-            tb = min(TIME_BLOCK, n_steps - step_no)
-            normals = np.empty((B, tb))
-            for j, gen in enumerate(gens):
-                normals[j] = gen.standard_normal(tb)
-            for s in range(tb):
-                psi, x, norms = _chunk_step(
-                    psi, x, normals[:, s], config.scheme, config.dt,
-                    D0, ST, BT, k, g, config.renormalize,
-                )
-                step_no += 1
-                bad = alive & (
-                    ~np.isfinite(norms) | (norms > ABORT_NORM) | ~np.isfinite(x)
-                )
-                if bad.any():
-                    abort_step[idx[bad]] = step_no
-                    alive &= ~bad
-                    psi[bad] = 0.0
-                    x[bad] = 0.0
-                np.maximum(drift, np.where(alive, np.abs(norms - 1.0), 0.0), out=drift)
-                if step_no % rec_every == 0:
-                    record(step_no // rec_every)
-        xTs[idx[alive]] = x[alive]
-        norm_drift[idx] = drift
-
-    workers = _resolve_workers(config)
-    chunks = [c for c in np.array_split(np.arange(n_paths), workers) if len(c)]
-    if len(chunks) == 1:
-        run_chunk(chunks[0])
-    else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            for fut in [pool.submit(run_chunk, c) for c in chunks]:
-                fut.result()
-
-    aborted = tuple(
-        (int(i), int(abort_step[i])) for i in range(n_paths) if abort_step[i] >= 0
-    )
+    aborted = tuple((int(i), int(abort_step[i])) for i in np.flatnonzero(~alive))
     if len(aborted) > MAX_ABORT_FRACTION * n_paths:
         raise PathAbortError(
             f"{len(aborted)} of {n_paths} paths aborted "
             f"(> {MAX_ABORT_FRACTION:.0%}); first at step {aborted[0][1]}"
         )
-    keep = abort_step < 0
-    rows = np.flatnonzero(keep)
+    rows = np.flatnonzero(alive)
     fid_rows = fids[rows]
 
     violation = 0.0
@@ -345,57 +288,16 @@ def simulate_paths(H, S, model, phi0, config):
         times=times, mean_f=mean, var_f=var, stderr_f=stderr, n_effective=n_eff
     )
 
-    trajectories = []
-    for r, row in zip(rows, fid_rows):
-        if states_store is not None:
-            sts = tuple(
-                JointState(psi=states_store[r, j].copy(), x=float(xs_store[r, j]))
-                for j in range(n_rec)
-            )
-        else:
-            sts = ()
-        trajectories.append(Trajectory(times=times, states=sts, fidelities=row))
-
     return SimulationResult(
         times=times,
         fidelities=fid_rows,
         path_indices=rows,
         initial_x=x0s[rows],
-        terminal_x=xTs[rows],
-        trajectories=tuple(trajectories),
+        terminal_x=x[rows],
+        states=None if states is None else states[rows],
+        xs=None if xs is None else xs[rows],
         summary=summary,
         aborted=aborted,
-        max_norm_drift=float(norm_drift.max(initial=0.0)),
+        max_norm_drift=float(drift.max(initial=0.0)),
         max_range_violation=violation,
     )
-
-
-def write_summary_csv(summary, path):
-    """Write the per-time summary: t, mean_F, var_F, stderr_F, n_effective."""
-    with open(path, "w") as fh:
-        fh.write("t,mean_F,var_F,stderr_F,n_effective\n")
-        for i in range(len(summary.times)):
-            row = [
-                repr(float(summary.times[i])),
-                repr(float(summary.mean_f[i])),
-                repr(float(summary.var_f[i])),
-                repr(float(summary.stderr_f[i])),
-                str(summary.n_effective),
-            ]
-            fh.write(",".join(row) + "\n")
-
-
-def write_trajectory_csv(traj, path):
-    """Write one trajectory: t, re/im of each component, X, F."""
-    if not traj.states:
-        raise ValueError("trajectory was recorded without states")
-    d = traj.states[0].psi.shape[0]
-    cols = [f"re_psi{i}" for i in range(d)] + [f"im_psi{i}" for i in range(d)]
-    with open(path, "w") as fh:
-        fh.write("t," + ",".join(cols) + ",X,F\n")
-        for t, st, f in zip(traj.times, traj.states, traj.fidelities):
-            parts = [repr(float(t))]
-            parts += [repr(float(v)) for v in st.psi.real]
-            parts += [repr(float(v)) for v in st.psi.imag]
-            parts += [repr(float(st.x)), repr(float(f))]
-            fh.write(",".join(parts) + "\n")

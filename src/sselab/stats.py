@@ -1,8 +1,8 @@
 """Sample reduction: summary moments, Gaussian KDE, KS distance.
 
 Summation uses math.fsum throughout, so every reduction is exactly
-permutation invariant; parallel producers can hand their samples over
-in any order without changing a single bit of the output.
+permutation invariant: reordering the samples changes no bit of the
+output.
 """
 
 import math
@@ -117,10 +117,3 @@ def ks_distance(a, b):
     ca = np.where(fa > 0, pa[np.minimum(fa, len(xa)) - 1], 0.0)
     cb = np.where(fb > 0, pb[np.minimum(fb, len(xb)) - 1], 0.0)
     return float(np.abs(ca - cb).max())
-
-
-def write_density_csv(path, grid, density):
-    with open(path, "w") as fh:
-        fh.write("x,density\n")
-        for x, d in zip(grid, density):
-            fh.write(f"{float(x)!r},{float(d)!r}\n")

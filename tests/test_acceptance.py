@@ -34,10 +34,9 @@ def pathwise_gaps(H, S, phi0, law, n_paths, seed):
     model = noise.white_noise(GAMMA)
     res = sde.simulate_paths(H, S, model, phi0, cfg)
     worst = 0.0
-    for p, traj in enumerate(res.trajectories):
-        xs = np.array([st.x for st in traj.states])
-        dx = xs - res.initial_x[p]
-        per_path = np.max(np.abs(traj.fidelities - law.evaluate(dx)))
+    for p, fids in enumerate(res.fidelities):
+        dx = res.xs[p] - res.initial_x[p]
+        per_path = np.max(np.abs(fids - law.evaluate(dx)))
         worst = max(worst, per_path)
     return worst
 

@@ -105,6 +105,31 @@ def test_thread_count_does_not_change_output(tmp_path, monkeypatch):
     assert blobs["1"] == blobs["4"] == blobs["8"]
 
 
+APPROX_INI = TINY_INI.replace("kind = pauli", "kind = approx-order").replace(
+    "kind = white", "kind = ou").replace("gamma = 0.2", "gamma = 0.2\nk = 0.1")
+
+BAD_VALUES = {
+    "t_slice_off_grid": TINY_INI.replace("kind = pauli", "kind = distribution").replace(
+        "[output]", "[output]\nt_slices = 0.07"),
+    "gamma_nan": TINY_INI.replace("gamma = 0.2", "gamma = nan"),
+    "t_negative": TINY_INI.replace("t = 0.5", "t = -1"),
+    "scan_t_negative": APPROX_INI.replace("[output]", "[output]\nscan_t = -1"),
+    "scan_t_nan": APPROX_INI.replace("[output]", "[output]\nscan_t = nan"),
+    "scan_t_off_grid": APPROX_INI.replace("[output]", "[output]\nscan_t = 0.0005"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_bad_values_rejected_before_any_compute(tmp_path, capsys, case):
+    out = tmp_path / "never"
+    cfg = write_config(tmp_path, text=BAD_VALUES[case], out=out)
+    assert cli.main(["run", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+    # the output directory is made only once the simulation has run
+    assert not out.exists()
+
+
 def test_repeat_run_is_byte_identical(tmp_path):
     for name in ("r1", "r2"):
         cfg = write_config(tmp_path, out=tmp_path / name)

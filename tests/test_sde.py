@@ -1,4 +1,3 @@
-import csv
 import math
 
 import numpy as np
@@ -24,20 +23,6 @@ def test_sim_config_validation():
         sde.SimConfig(dt=0.01, T=1.0, record_every=7)  # does not divide 100
     cfg = sde.SimConfig(dt=0.01, T=1.0, record_every=10)
     assert cfg.n_steps == 100
-
-
-def test_drift_diffusion_values():
-    model = noise.ou_noise(0.3, 0.5)
-    Y = sde.JointState(psi=KET0, x=0.4)
-    (a_psi, a_x), (b_psi, b_x) = sde.drift_diffusion(Y, ZERO_H, qstate.SIGMA_X, model)
-    # S|0> = |1>, S'S = I, so a = ik x |1> - g^2/2 |0>
-    want = np.array([-0.5 * 0.09, 1j * 0.5 * 0.4], dtype=complex)
-    assert np.allclose(a_psi, want)
-    assert np.allclose(b_psi, np.array([0.0, -0.3j]))
-    assert a_x == pytest.approx(-0.5 * 0.4)
-    assert b_x == 0.3
-    with pytest.raises(ValueError):
-        sde.drift_diffusion(Y, np.eye(4), qstate.SIGMA_X, model)
 
 
 def test_euler_step_by_hand():
@@ -171,17 +156,14 @@ def test_simulate_paths_determinism():
     model = noise.ou_noise(0.25, 0.2, init=noise.STATIONARY)
     base = dict(dt=1e-3, T=0.5, n_paths=32, master_seed=77, record_every=50)
     r1 = sde.simulate_paths(ZERO_H, qstate.SIGMA_X, model, KET0,
-                            sde.SimConfig(workers=1, **base))
-    r4 = sde.simulate_paths(ZERO_H, qstate.SIGMA_X, model, KET0,
-                            sde.SimConfig(workers=4, **base))
-    assert np.array_equal(r1.fidelities, r4.fidelities)
-    assert np.array_equal(r1.summary.mean_f, r4.summary.mean_f)
-    assert np.array_equal(r1.terminal_x, r4.terminal_x)
+                            sde.SimConfig(**base))
     r1b = sde.simulate_paths(ZERO_H, qstate.SIGMA_X, model, KET0,
-                             sde.SimConfig(workers=1, **base))
+                             sde.SimConfig(**base))
     assert np.array_equal(r1.fidelities, r1b.fidelities)
+    assert np.array_equal(r1.summary.mean_f, r1b.summary.mean_f)
+    assert np.array_equal(r1.terminal_x, r1b.terminal_x)
     other = sde.simulate_paths(ZERO_H, qstate.SIGMA_X, model, KET0,
-                               sde.SimConfig(workers=1, dt=1e-3, T=0.5, n_paths=32,
+                               sde.SimConfig(dt=1e-3, T=0.5, n_paths=32,
                                              master_seed=78, record_every=50))
     assert not np.array_equal(r1.fidelities, other.fidelities)
 
@@ -200,14 +182,19 @@ def test_trajectories_recorded_when_asked():
     cfg = sde.SimConfig(dt=1e-2, T=0.1, n_paths=3, master_seed=5,
                         keep_states=True)
     res = sde.simulate_paths(ZERO_H, qstate.SIGMA_X, model, KET0, cfg)
-    assert len(res.trajectories) == 3
-    traj = res.trajectories[0]
-    assert len(traj.times) == cfg.n_steps + 1
+    assert res.states.shape == (3, cfg.n_steps + 1, 2)
+    assert res.xs.shape == (3, cfg.n_steps + 1)
+    assert np.array_equal(res.xs[:, 0], res.initial_x)
+    assert np.array_equal(res.xs[:, -1], res.terminal_x)
     # recorded fidelities are consistent with the stored states
     phi = KET0
-    for j, st in enumerate(traj.states):
-        assert abs(abs(np.vdot(phi, st.psi)) ** 2 - traj.fidelities[j]) < 1e-12
-        assert abs(np.linalg.norm(st.psi) - 1.0) < 1e-9
+    for j, psi in enumerate(res.states[0]):
+        assert abs(abs(np.vdot(phi, psi)) ** 2 - res.fidelities[0, j]) < 1e-12
+        assert abs(np.linalg.norm(psi) - 1.0) < 1e-9
+    plain = sde.simulate_paths(ZERO_H, qstate.SIGMA_X, model, KET0,
+                               sde.SimConfig(dt=1e-2, T=0.1, n_paths=3, master_seed=5))
+    assert plain.states is None and plain.xs is None
+    assert np.array_equal(plain.fidelities, res.fidelities)
 
 
 def test_summary_table_contents():
@@ -222,25 +209,3 @@ def test_summary_table_contents():
     assert res.summary.var_f[j] == pytest.approx(col.var(ddof=1), abs=1e-12)
     assert res.summary.stderr_f[j] == pytest.approx(
         math.sqrt(col.var(ddof=1) / 40), abs=1e-12)
-
-
-def test_csv_writers(tmp_path):
-    model = noise.white_noise(0.2)
-    cfg = sde.SimConfig(dt=1e-2, T=0.1, n_paths=5, master_seed=2, keep_states=True)
-    res = sde.simulate_paths(ZERO_H, qstate.SIGMA_X, model, KET0, cfg)
-    spath = tmp_path / "summary.csv"
-    sde.write_summary_csv(res.summary, spath)
-    with open(spath) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["t", "mean_F", "var_F", "stderr_F", "n_effective"]
-    assert len(rows) == len(res.times) + 1
-    assert float(rows[1][1]) == 1.0
-    # round trip preserves the float exactly via repr
-    assert float(rows[-1][1]) == res.summary.mean_f[-1]
-
-    tpath = tmp_path / "traj.csv"
-    sde.write_trajectory_csv(res.trajectories[0], tpath)
-    with open(tpath) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0][0] == "t" and rows[0][-1] == "F"
-    assert len(rows) == len(res.trajectories[0].times) + 1

@@ -1,4 +1,3 @@
-import csv
 import math
 import warnings
 
@@ -134,15 +133,3 @@ def test_ks_detects_location_shift():
     a = stats.SampleSet(rng.standard_normal(2000))
     shifted = stats.SampleSet(rng.standard_normal(2000) + 1.0)
     assert stats.ks_distance(a, shifted) > 0.3
-
-
-def test_write_density_csv(tmp_path):
-    grid = np.linspace(0, 1, 5)
-    dens = np.array([0.0, 1.0, 2.0, 1.0, 0.0])
-    path = tmp_path / "density.csv"
-    stats.write_density_csv(path, grid, dens)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["x", "density"]
-    assert len(rows) == 6
-    assert float(rows[3][1]) == 2.0
