@@ -22,7 +22,7 @@ def _load_config_file(path):
     try:
         with open(path) as fh:
             parser.read_file(fh)
-    except (OSError, configparser.Error) as exc:
+    except (OSError, UnicodeError, configparser.Error) as exc:
         raise scenario_mod.ConfigError(f"cannot read config {path}: {exc}") from exc
     return {section: dict(parser[section]) for section in parser.sections()}
 
@@ -63,7 +63,7 @@ def cmd_run(args):
         return 1
     try:
         result = scenario_mod.run_scenario(scn)
-    except (sde_mod.PathAbortError, sde_mod.FidelityRangeError) as exc:
+    except (sde_mod.PathAbortError, sde_mod.FidelityRangeError, MemoryError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 2
     for path in result.files:

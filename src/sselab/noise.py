@@ -47,6 +47,8 @@ class NoiseModel:
             raise ValueError("white noise requires k=0 and calibrated start")
         if self.init not in (CALIBRATED, STATIONARY):
             raise ValueError(f"unknown init {self.init!r}")
+        if self.init == STATIONARY and self.k == 0:
+            raise ValueError("stationary start needs k > 0")
 
 
 def white_noise(gamma):
@@ -76,8 +78,6 @@ def _phi1(z):
 def draw_initial(model, stream):
     """Draw X0 per the model's init convention from the given stream."""
     if model.init == STATIONARY:
-        if model.k == 0.0:
-            raise ValueError("stationary start needs k > 0")
         return model.gamma * stream.standard_normal() / math.sqrt(2.0 * model.k)
     return 0.0
 

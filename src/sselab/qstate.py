@@ -39,7 +39,7 @@ def as_state(amplitudes):
     """Validate a pure state: 1-d complex, unit norm within 1e-10."""
     phi = np.asarray(amplitudes, dtype=complex).reshape(-1)
     norm = np.linalg.norm(phi)
-    if abs(norm - 1.0) > 1e-10:
+    if not abs(norm - 1.0) <= 1e-10:  # NaN fails too
         raise ValueError(f"state norm {norm!r} deviates from 1 beyond 1e-10")
     return phi
 

@@ -12,7 +12,7 @@ simulation config, and names one of six kinds:
 Configs are flat string sections (the CLI reads them from INI files);
 presets are the same shape, one per reference figure.  Running a
 scenario writes summary.csv, optional distribution/closure CSVs, and
-run.json with everything needed to reproduce the run.
+run.json: what reproduces the run, and the run's path diagnostics.
 """
 
 import json
@@ -210,15 +210,24 @@ def _validate(scn):
             f"the closure scan length must be a non-negative multiple of "
             f"{approx_mod.DEFAULT_DT:g}, got {scan!r}"
         )
+    if not math.isfinite(scn.alpha):
+        raise ConfigError(f"alpha must be finite, got {scn.alpha!r}")
     if scn.name == "noncommuting":
         if scn.h_spec not in ("X", "Y", "Z") or scn.noise_spec not in ("X", "Y", "Z"):
             raise ConfigError("noncommuting scenarios need single Pauli axes")
         if scn.h_spec == scn.noise_spec:
             raise ConfigError("drive and noise axes must differ")
-        if scn.state.shape[0] != 2:
-            raise ConfigError("noncommuting scenarios are single-qubit")
+        if scn.state.shape[0] != 2 or not scn.alpha > 0:
+            raise ConfigError("noncommuting scenarios are single-qubit, with alpha > 0")
         return
-    s_op, _ = scn.noise_operator()
+    try:
+        s_op, _ = scn.noise_operator()
+        h = scn.hamiltonian()
+    except ValueError as exc:  # an unknown operator name or a bad control number
+        raise ConfigError(str(exc)) from exc
+    d = scn.state.shape[0]
+    if s_op.shape != (d, d) or h.shape != (d, d) or not np.isfinite(h).all():
+        raise ConfigError(f"the operators must be finite and act on the {d}-dim state")
     if scn.name == "twoqubit":
         base = qstate.build_operator(scn.noise_spec)
         if _op_class(base) is None:
@@ -234,7 +243,6 @@ def _validate(scn):
             raise ConfigError(
                 f"noise_op {scn.noise_spec!r} does not match kind {scn.name!r}"
             )
-    h = scn.hamiltonian()
     if np.abs(qstate.commutator(h, s_op)).max() > 1e-12:
         raise ConfigError("hamiltonian must commute with the noise operator")
     if scn.name == "distribution" and not scn.t_slices:
@@ -307,7 +315,7 @@ class RunResult:
 
 
 def _law_sample_stream(seed, idx):
-    key = [(seed & (2**64 - 1)), 2**63 + idx]
+    key = np.array([seed & (2**64 - 1), 2**63 + idx], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -342,7 +350,7 @@ def run_scenario(scn):
             approx_mod.second_order_system(scn.model.gamma, scn.model.k, abs(law.s0)),
             scan_T,
         )
-        stride = max(1, int(round(0.05 / (first.times[1] - first.times[0]))))
+        stride = max(1, int(round(0.05 / approx_mod.DEFAULT_DT)))
         ctimes = first.times[::stride]
         exact = np.array(
             [
@@ -434,6 +442,13 @@ def _write_artifacts(scn, sim_result, mean, var, slice_samples, closure):
         "label": scn.label,
         "config": scn.raw,
         "seed": scn.sim.master_seed,
+        "diagnostics": {
+            "n_paths": scn.sim.n_paths,
+            "n_effective": sim_result.summary.n_effective,
+            "aborted": sim_result.aborted,
+            "max_norm_drift": sim_result.max_norm_drift,
+            "max_range_violation": sim_result.max_range_violation,
+        },
         "versions": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,

@@ -7,7 +7,11 @@ The joint variable Y = (psi, X) follows
 
 with a single Brownian driver W shared by both blocks.  White noise is
 k = 0.  Schemes: Euler-Maruyama and the explicit weak second-order
-Platen scheme.  This module is the independent check on every
+Platen scheme.  Both steps are linear in psi and polynomials of degree
+<= 2 in (X, N), so a run builds its step once as a fixed map
+(`_step_map`) and keeps all paths in real layout, a (2d, paths) array
+of rows [Re psi; Im psi]: a step is one real matmul and a weighted sum
+over the monomials.  This module is the independent check on every
 closed-form law in the package: it never consults them.
 
 Reproducibility: path i draws from its own Philox(master_seed, i)
@@ -70,6 +74,8 @@ class SimConfig:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         ratio = self.T / self.dt
+        if ratio >= 2**63:
+            raise ValueError("T/dt must be below 2**63")
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
             raise ValueError("T/dt must be an integer")
         if self.record_every < 1 or round(ratio) % self.record_every != 0:
@@ -112,44 +118,56 @@ def _check_ops(H, S, d):
     return H, S
 
 
-def _kernel_ops(H, S, g):
-    """(D0, ST, BT) for `_chunk_step`."""
-    return ((-1j) * H - 0.5 * g * g * (S.conj().T @ S)).T, S.T, ((-1j * g) * S).T
+def _step_map(H, S, model, scheme, dt):
+    """The scheme's step as one fixed map, built once per run: (R, (ax, an)).
 
-
-def _chunk_step(psi, x, N, scheme, dt, D0, ST, BT, k, g, renormalize):
-    """Advance a (B, d) state block and (B,) noise block by one step.
-
-    D0 = (-iH - (gamma^2/2) S'S)^T, ST = S^T, BT = (-i gamma S)^T, so
-    drift(psi, x) = psi @ D0 + (ik x) (psi @ ST) row-wise.
+    With D = -iH - (gamma^2/2) S'S, E = ik S and B = -i gamma S the step is
+    psi' = sum_m w_m M_m psi over the monomials w = (1, x, N, x^2, xN, N^2)
+    (Euler-Maruyama stops at N), and x' = ax x + an N.  R stacks the real
+    forms [[Re M, -Im M], [Im M, Re M]] of the M_m, so R @ psi gives every
+    term at once for psi in real layout: (2d, paths) rows [Re psi; Im psi].
     """
-    sqdt = math.sqrt(dt)
-    a0 = psi @ D0 + (1j * k) * x[:, None] * (psi @ ST)
-    b0 = psi @ BT
-    ax0 = -k * x
-    Nc = N[:, None]
+    g, k = model.gamma, model.k
+    D, E, B = (-1j) * H - 0.5 * g * g * (S.conj().T @ S), (1j * k) * S, (-1j * g) * S
+    h, c = dt, math.sqrt(dt)
+    p, q = 1.0 - k * h, g * c
     if scheme == EULER_MARUYAMA:
-        psi1 = psi + a0 * dt + b0 * (Nc * sqdt)
-        x1 = x + ax0 * dt + (g * sqdt) * N
+        mats = (np.eye(len(H)) + h * D, h * E, c * B)
+        lin = (p, q)
     else:
-        bar_psi = psi + a0 * dt + b0 * (Nc * sqdt)
-        bar_x = x + ax0 * dt + (g * sqdt) * N
-        up_psi = psi + a0 * dt + b0 * sqdt
-        dn_psi = psi + a0 * dt - b0 * sqdt
-        a1 = bar_psi @ D0 + (1j * k) * bar_x[:, None] * (bar_psi @ ST)
-        ax1 = -k * bar_x
-        bp = up_psi @ BT
-        bm = dn_psi @ BT
-        psi1 = psi + 0.5 * (a1 + a0) * dt \
-            + 0.25 * (bp + bm + 2.0 * b0) * (Nc * sqdt) \
-            + 0.25 * (bp - bm) * ((N * N - 1.0)[:, None] * sqdt)
-        # noise diffusion is constant, so its second-order terms collapse
-        x1 = x + 0.5 * (ax1 + ax0) * dt + (g * sqdt) * N
-    norms = np.linalg.norm(psi1, axis=1)
+        # Platen's supporting values substituted into its update; products
+        # act right to left, so ED means D first.
+        DE, ED, EB, EE, BB = D @ E, E @ D, E @ B, E @ E, B @ B
+        mats = (
+            np.eye(len(H)) + h * D + 0.5 * h * h * (D @ D) - 0.5 * h * BB,
+            0.5 * h * (1 + p) * E + 0.5 * h * h * (p * ED + DE),
+            c * B + 0.5 * h * q * E + 0.5 * h * h * q * ED + 0.5 * h * c * (D @ B + B @ D),
+            0.5 * h * h * p * EE,
+            0.5 * h * h * q * EE + 0.5 * h * c * (p * EB + B @ E),
+            0.5 * h * c * q * EB + 0.5 * h * BB,
+        )
+        lin = (1.0 - 0.5 * k * h * (1 + p), q * (1.0 - 0.5 * k * h))
+    R = np.vstack([np.block([[m.real, -m.imag], [m.imag, m.real]]) for m in mats])
+    return R, lin
+
+
+def _apply_map(R, psi, w, x, N, renormalize):
+    """(psi', norms before renormalizing) for a real-layout (2d, paths) block.
+
+    w is (terms, paths) scratch for the monomial weights; its row 0 holds ones.
+    """
+    w[1], w[2] = x, N
+    if len(w) == 6:
+        w[3], w[4], w[5] = x * x, x * N, N * N
+    out = np.einsum("mjp,mp->jp", (R @ psi).reshape(len(w), *psi.shape), w)
+    norms = np.sqrt(np.einsum("ij,ij->j", out, out))
     if renormalize:
-        safe = np.where(norms > 0, norms, 1.0)
-        psi1 = psi1 / safe[:, None]
-    return psi1, x1, norms
+        out /= np.where(norms > 0, norms, 1.0)
+    return out, norms
+
+
+def _real(psi):
+    return np.concatenate([psi.real, psi.imag])
 
 
 def step(Y, H, S, model, config, stream, normal=None):
@@ -158,17 +176,16 @@ def step(Y, H, S, model, config, stream, normal=None):
     `normal` overrides the draw (used by deterministic tests).  Raises
     PathAbortError on NaN or norm blow-up past 1.5.
     """
-    H, S = _check_ops(H, S, np.asarray(Y.psi).shape[0])
+    psi = np.asarray(Y.psi, dtype=complex)
+    d = psi.shape[0]
+    H, S = _check_ops(H, S, d)
     N = float(stream.standard_normal()) if normal is None else float(normal)
-    g, k = model.gamma, model.k
-    psi1, x1, norms = _chunk_step(
-        np.asarray(Y.psi, dtype=complex)[None, :], np.array([float(Y.x)]),
-        np.array([N]), config.scheme, config.dt, *_kernel_ops(H, S, g), k, g,
-        config.renormalize,
-    )
+    R, (ax, an) = _step_map(H, S, model, config.scheme, config.dt)
+    w = np.ones((len(R) // (2 * d), 1))
+    psi1, norms = _apply_map(R, _real(psi)[:, None], w, float(Y.x), N, config.renormalize)
     if not np.all(np.isfinite(psi1)) or norms[0] > ABORT_NORM:
         raise PathAbortError(f"path aborted: norm {norms[0]:.4g}")
-    return JointState(psi=psi1[0], x=float(x1[0]))
+    return JointState(psi=psi1[:d, 0] + 1j * psi1[d:, 0], x=ax * float(Y.x) + an * N)
 
 
 def target_evolution(H, phi0, t):
@@ -198,37 +215,42 @@ def simulate_paths(H, S, model, phi0, config):
     phi0 = qstate.as_state(phi0)
     d = phi0.shape[0]
     H, S = _check_ops(H, S, d)
-    g, k = model.gamma, model.k
     n_steps = config.n_steps
     rec_every = config.record_every
     n_rec = n_steps // rec_every + 1
     times = np.arange(n_rec) * (config.dt * rec_every)
 
-    targets = np.empty((n_rec, d), dtype=complex)
+    # <phi|psi> in real layout: rows [Re phi, Im phi] and [-Im phi, Re phi]
+    targets = np.empty((n_rec, 2, 2 * d))
     for i, t in enumerate(times):
-        targets[i] = target_evolution(H, phi0, t)
-    targets_conj = targets.conj()
-    ops = _kernel_ops(H, S, g)
+        phi = target_evolution(H, phi0, t)
+        targets[i] = [_real(phi), np.concatenate([-phi.imag, phi.real])]
+    R, (ax, an) = _step_map(H, S, model, config.scheme, config.dt)
 
     n_paths = config.n_paths
     fids = np.empty((n_paths, n_rec))
-    states = np.empty((n_paths, n_rec, d), dtype=complex) if config.keep_states else None
+    states = np.empty((n_paths, n_rec, 2 * d)) if config.keep_states else None
     xs = np.empty((n_paths, n_rec)) if config.keep_states else None
     abort_step = np.full(n_paths, -1, dtype=np.int64)
     drift = np.zeros(n_paths)
 
     seed = config.master_seed & (2**64 - 1)
-    gens = [np.random.Generator(np.random.Philox(key=[seed, i])) for i in range(n_paths)]
+    gens = [
+        np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
+        for i in range(n_paths)
+    ]
     x0s = np.array([noise_mod.draw_initial(model, gen) for gen in gens])
     x = x0s.copy()
-    psi = np.tile(phi0, (n_paths, 1))
+    psi = np.repeat(_real(phi0)[:, None], n_paths, axis=1)
     alive = np.ones(n_paths, dtype=bool)
+    w = np.ones((len(R) // (2 * d), n_paths))
 
     def record(slot):
         # rows of aborted paths are recorded too, and dropped at the end
-        fids[:, slot] = np.abs(psi @ targets_conj[slot]) ** 2
+        ov = targets[slot] @ psi
+        fids[:, slot] = ov[0] ** 2 + ov[1] ** 2
         if states is not None:
-            states[:, slot] = psi
+            states[:, slot] = psi.T
             xs[:, slot] = x
 
     record(0)
@@ -239,16 +261,15 @@ def simulate_paths(H, S, model, phi0, config):
         for j, gen in enumerate(gens):
             normals[j] = gen.standard_normal(tb)
         for s in range(tb):
-            psi, x, norms = _chunk_step(
-                psi, x, normals[:, s], config.scheme, config.dt, *ops, k, g,
-                config.renormalize,
-            )
+            N = normals[:, s]
+            psi, norms = _apply_map(R, psi, w, x, N, config.renormalize)
+            x = ax * x + an * N
             step_no += 1
             bad = alive & (~np.isfinite(norms) | (norms > ABORT_NORM) | ~np.isfinite(x))
             if bad.any():
                 abort_step[bad] = step_no
                 alive &= ~bad
-                psi[bad] = 0.0
+                psi[:, bad] = 0.0
                 x[bad] = 0.0
             np.maximum(drift, np.where(alive, np.abs(norms - 1.0), 0.0), out=drift)
             if step_no % rec_every == 0:
@@ -294,7 +315,7 @@ def simulate_paths(H, S, model, phi0, config):
         path_indices=rows,
         initial_x=x0s[rows],
         terminal_x=x[rows],
-        states=None if states is None else states[rows],
+        states=None if states is None else states[rows, :, :d] + 1j * states[rows, :, d:],
         xs=None if xs is None else xs[rows],
         summary=summary,
         aborted=aborted,

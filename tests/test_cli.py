@@ -1,10 +1,13 @@
+import configparser
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from sselab import cli
+from sselab import cli, scenario, sde
 
 TINY_INI = """\
 [scenario]
@@ -55,6 +58,26 @@ def test_run_config_file(tmp_path, capsys):
     assert "numpy" in doc["versions"]
     header = (out_dir / "summary.csv").read_text().splitlines()[0]
     assert header == "t,analytic_mean,analytic_var,mc_mean,mc_stderr,mc_var"
+    diag = doc["diagnostics"]
+    assert diag["n_paths"] == diag["n_effective"] == 40 and diag["aborted"] == []
+    assert 0 <= diag["max_norm_drift"] < 1e-3 and 0 <= diag["max_range_violation"] < 1e-6
+
+
+def test_run_json_names_aborted_paths(tmp_path, capsys):
+    # a coarse renormalized Euler run in which 5 of 1000 paths blow up
+    text = TINY_INI.replace("dt = 0.01", "dt = 0.05").replace(
+        "gamma = 0.2", "gamma = 1.45").replace("t = 0.5", "t = 1.0").replace(
+        "n_paths = 40", "n_paths = 1000").replace(
+        "master_seed = 9", "master_seed = 3").replace(
+        "record_every = 10", "record_every = 1").replace(
+        "[sim]", "[sim]\nscheme = euler-maruyama")
+    out = tmp_path / "ab"
+    assert cli.main(["run", write_config(tmp_path, text=text, out=out)]) == 0
+    assert "5 path(s) aborted" in capsys.readouterr().err
+    diag = json.loads((out / "run.json").read_text())["diagnostics"]
+    assert diag["n_paths"] == 1000 and diag["n_effective"] == 995
+    assert diag["aborted"] == [[170, 5], [394, 4], [553, 4], [740, 11], [981, 1]]
+    assert diag["max_norm_drift"] < 0.5
 
 
 def test_overrides_reach_run_json(tmp_path):
@@ -87,6 +110,15 @@ def test_run_failure_exit_code(tmp_path, capsys):
     assert "run failed" in capsys.readouterr().err
 
 
+def test_run_too_large_to_record_fails_without_traceback(tmp_path, capsys):
+    # 1e15 steps pass resolve, but their time grid alone needs petabytes
+    text = TINY_INI.replace("dt = 0.01", "dt = 1e-15").replace(
+        "record_every = 10", "record_every = 1")
+    assert cli.main(["run", write_config(tmp_path, text=text, out=tmp_path / "big")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("run failed:"), err
+
+
 def test_check_passes_on_healthy_run(tmp_path, capsys):
     cfg = write_config(tmp_path, out=tmp_path / "chk")
     code = cli.main(["run", cfg, "--paths", "300", "--check"])
@@ -116,6 +148,12 @@ BAD_VALUES = {
     "scan_t_negative": APPROX_INI.replace("[output]", "[output]\nscan_t = -1"),
     "scan_t_nan": APPROX_INI.replace("[output]", "[output]\nscan_t = nan"),
     "scan_t_off_grid": APPROX_INI.replace("[output]", "[output]\nscan_t = 0.0005"),
+    "state_wrong_dim": TINY_INI.replace("state = 0", "state = 0,0,1"),
+    "noise_op_unknown": TINY_INI.replace("noise_op = X", "noise_op = Q"),
+    "alpha_nan": TINY_INI.replace("kind = pauli", "kind = noncommuting").replace(
+        "noise_op = X", "noise_op = Z\nhamiltonian = X\nalpha = nan"),
+    "steps_overflow": TINY_INI.replace("dt = 0.01", "dt = 1e-300").replace(
+        "record_every = 10", "record_every = 1"),
 }
 
 
@@ -128,6 +166,87 @@ def test_bad_values_rejected_before_any_compute(tmp_path, capsys, case):
     assert len(err) == 1 and err[0].startswith("config error:"), err
     # the output directory is made only once the simulation has run
     assert not out.exists()
+
+
+def test_undecodable_config_file_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "bytes.ini"
+    path.write_bytes(b"\xff\xfe[scenario]\nkind = pauli\n")
+    assert cli.main(["run", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+# Values a run accepts, per key, so that fuzzed configs also reach compute.
+VALID = {
+    ("scenario", "kind"): scenario.KINDS,
+    ("scenario", "state"): ("0", "+", "00", "ghz", "0.6,0.8j"),
+    ("scenario", "noise_op"): ("X", "Z", "P1"),
+    ("scenario", "base_op"): ("X", "Y"),
+    ("scenario", "hamiltonian"): ("none", "X", "Z", "control:1,0,0.5"),
+    ("scenario", "alpha"): ("1", "0.5"),
+    ("noise", "kind"): ("white", "ou"),
+    ("noise", "gamma"): ("0.2", "0"),
+    ("noise", "k"): ("0", "0.5"),
+    ("noise", "init"): ("calibrated", "stationary"),
+    ("sim", "scheme"): sde.SCHEMES,
+    ("sim", "renormalize"): ("true", "no"),
+    ("sim", "n_paths"): ("1", "2"),
+    ("sim", "master_seed"): ("0", "-1", str(2**64 + 1)),
+    ("sim", "record_every"): ("1", "2"),
+    ("output", "t_slices"): ("0.02", "0.02,0.04"),
+}
+# The keys that set how much a run computes; the CLI fuzz draws them from
+# these short lists, bad values included, so that every run stays small.
+SIZED = {
+    ("sim", "dt"): ("0.01", "0.02", "0", "-1", "nan", "1e-300", "x"),
+    ("sim", "t"): ("0.04", "0", "-1", "inf", "x"),
+    ("output", "scan_t"): ("0", "0.05", "-1", "nan", "0.0005"),
+}
+
+
+@st.composite
+def _configs(draw, fuzz_sized):
+    """Accepted values, some keys left out, and up to three values replaced
+    by arbitrary text; the sized keys are always set."""
+    flat = {key: draw(st.sampled_from(vals)) for key, vals in VALID.items()
+            if key == ("scenario", "kind") or draw(st.booleans())}
+    flat.update((key, draw(st.sampled_from(vals))) for key, vals in SIZED.items())
+    fuzzable = sorted(VALID) + (sorted(SIZED) if fuzz_sized else [])
+    for key in draw(st.lists(st.sampled_from(fuzzable), max_size=3)):
+        flat[key] = draw(st.text(max_size=10))
+    cfg = {}
+    for (section, key), val in flat.items():
+        cfg.setdefault(section, {})[key] = val
+    return cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=_configs(fuzz_sized=True))
+def test_resolve_fuzz_raises_only_config_error(cfg):
+    try:
+        scn = scenario.resolve(cfg)
+    except scenario.ConfigError:
+        return
+    assert isinstance(scn, scenario.Scenario)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=_configs(fuzz_sized=False), paths=st.integers(1, 2))
+@example(cfg={"scenario": {"kind": "approx-order"}, "sim": {"dt": "0.01", "t": "0"},
+              "output": {"scan_t": "0"}}, paths=1)  # a zero-length closure scan
+def test_cli_fuzz_exit_codes_without_traceback(tmp_path, capsys, cfg, paths):
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_dict(cfg)
+    path = tmp_path / "fuzz.ini"
+    with open(path, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    code = cli.main(["run", str(path), "--paths", str(paths),
+                     "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), err
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.startswith("config error:"), err
 
 
 def test_repeat_run_is_byte_identical(tmp_path):

@@ -167,9 +167,9 @@ def test_draw_initial():
     sd = 0.2 / math.sqrt(2 * 0.1)
     assert abs(draws.mean()) < 5 * sd / math.sqrt(len(draws))
     assert abs(draws.std() - sd) / sd < 0.02
-    bad = noise.NoiseModel(kind=noise.OU, gamma=0.2, k=0.0, init=noise.STATIONARY)
+    # a stationary start with k = 0 has no stationary law: refused when built
     with pytest.raises(ValueError):
-        noise.draw_initial(bad, stream)
+        noise.NoiseModel(kind=noise.OU, gamma=0.2, k=0.0, init=noise.STATIONARY)
 
 
 def test_sample_path_moments():

@@ -99,6 +99,15 @@ def test_distribution_needs_slices():
     assert scn.t_slices == (0.1, 0.5)
 
 
+def test_distribution_slices_draw_their_own_law_samples(tmp_path):
+    cfg = minimal_cfg(scenario={"kind": "distribution"},
+                      output={"t_slices": "0.1,0.5", "dir": str(tmp_path)})
+    result = scenario.run_scenario(scenario.resolve(cfg))
+    (_, law_a), (_, law_b) = (result.slice_samples[t] for t in (0.1, 0.5))
+    # F falls with |Delta X| here, so one normal sequence would give one ranking
+    assert not np.array_equal(np.argsort(law_a), np.argsort(law_b))
+
+
 def test_scenario_law_wrapping():
     scn = scenario.resolve(minimal_cfg())
     law = scenario.scenario_law(scn)

@@ -72,6 +72,76 @@ def test_platen_step_matches_formula():
     assert out.x == pytest.approx(want_x, abs=1e-15)
 
 
+def _random_hermitian(rng, d):
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return 0.5 * (a + a.conj().T)
+
+
+def _scheme_formula(scheme, H, S, g, k, dt, psi, x, N):
+    """One step of either scheme, transcribed from its textbook form."""
+    def a_fn(psi, x):
+        return -1j * (H @ psi) + 1j * k * x * (S @ psi) - 0.5 * g * g * (S @ (S @ psi))
+
+    def b_fn(psi):
+        return -1j * g * (S @ psi)
+
+    sq = math.sqrt(dt)
+    a0, b0 = a_fn(psi, x), b_fn(psi)
+    bar = psi + a0 * dt + b0 * N * sq
+    bar_x = x - k * x * dt + g * N * sq
+    if scheme == sde.EULER_MARUYAMA:
+        return bar, bar_x
+    up = psi + a0 * dt + b0 * sq
+    dn = psi + a0 * dt - b0 * sq
+    want = (
+        psi
+        + 0.5 * (a_fn(bar, bar_x) + a0) * dt
+        + 0.25 * (b_fn(up) + b_fn(dn) + 2 * b0) * N * sq
+        + 0.25 * (b_fn(up) - b_fn(dn)) * (N * N - 1) * sq
+    )
+    return want, x + 0.5 * (-k * bar_x - k * x) * dt + g * N * sq
+
+
+@pytest.mark.parametrize("scheme", sde.SCHEMES)
+def test_step_map_matches_scheme_formula(scheme):
+    """The precomputed step map against the scheme, at d=4 with S'S != I."""
+    rng = np.random.default_rng(17)
+    H, S = _random_hermitian(rng, 4), _random_hermitian(rng, 4)
+    g, k, dt, x0 = 0.35, 0.8, 0.02, -0.6
+    psi0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    psi0 /= np.linalg.norm(psi0)
+    cfg = sde.SimConfig(dt=dt, T=dt, scheme=scheme, renormalize=False)
+    for N in (-2.3, -0.4, 0.0, 1.1, 3.0):
+        out = sde.step(sde.JointState(psi=psi0, x=x0), H, S, noise.ou_noise(g, k), cfg,
+                       None, normal=N)
+        want, want_x = _scheme_formula(scheme, H, S, g, k, dt, psi0, x0, N)
+        assert np.max(np.abs(out.psi - want)) < 1e-13
+        assert abs(out.x - want_x) < 1e-13
+
+
+@pytest.mark.parametrize("scheme", sde.SCHEMES)
+def test_simulate_paths_matches_step_loop(scheme):
+    """The batched kernel against step() on each path's own Philox stream."""
+    rng = np.random.default_rng(5)
+    H, S = _random_hermitian(rng, 4), _random_hermitian(rng, 4)
+    model = noise.ou_noise(0.3, 0.7, init=noise.STATIONARY)
+    phi0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    phi0 /= np.linalg.norm(phi0)
+    cfg = sde.SimConfig(dt=0.01, T=0.2, n_paths=3, master_seed=12, scheme=scheme,
+                        keep_states=True)
+    res = sde.simulate_paths(H, S, model, phi0, cfg)
+    assert res.states.shape == (3, 21, 4)
+    for i in range(3):
+        stream = np.random.Generator(
+            np.random.Philox(key=np.array([12, i], dtype=np.uint64)))
+        Y = sde.JointState(psi=phi0, x=noise.draw_initial(model, stream))
+        for j in range(cfg.n_steps + 1):
+            assert np.max(np.abs(res.states[i, j] - Y.psi)) < 1e-13
+            assert abs(res.xs[i, j] - Y.x) < 1e-13
+            if j < cfg.n_steps:
+                Y = sde.step(Y, H, S, model, cfg, stream)
+
+
 def test_platen_reduces_to_heun_without_noise():
     # gamma = 0 kills every diffusion term; what is left is Heun on the ODE
     model = noise.white_noise(0.0)
@@ -175,6 +245,47 @@ def test_simulate_paths_abort_budget():
                         scheme=sde.EULER_MARUYAMA, renormalize=False)
     with pytest.raises(sde.PathAbortError):
         sde.simulate_paths(ZERO_H, qstate.SIGMA_X, model, KET0, cfg)
+
+
+def test_negative_seeds_get_their_own_streams():
+    model = noise.white_noise(0.3)
+    fids = {}
+    for seed in (0, -1, -5):
+        cfg = sde.SimConfig(dt=1e-2, T=0.2, n_paths=4, master_seed=seed)
+        res = sde.simulate_paths(ZERO_H, qstate.SIGMA_X, model, KET0, cfg)
+        fids[seed] = res.fidelities
+    assert not np.array_equal(fids[0], fids[-1])
+    assert not np.array_equal(fids[-1], fids[-5])
+
+
+def test_aborted_paths_within_budget():
+    # a coarse renormalized Euler run: 5 of 1000 paths blow up, within the 1% budget
+    model = noise.white_noise(1.45)
+    cfg = sde.SimConfig(dt=0.05, T=1.0, n_paths=1000, master_seed=3,
+                        scheme=sde.EULER_MARUYAMA, keep_states=True)
+    res = sde.simulate_paths(ZERO_H, qstate.SIGMA_X, model, KET0, cfg)
+    dead = [i for i, _ in res.aborted]
+    assert 1 <= len(dead) <= 10
+    assert sorted(set(res.path_indices) | set(dead)) == list(range(1000))
+    assert not set(res.path_indices) & set(dead)
+    # each aborted path, replayed on its own stream, blows up at the step named
+    for i, abort_at in res.aborted:
+        stream = np.random.Generator(
+            np.random.Philox(key=np.array([3, i], dtype=np.uint64)))
+        Y = sde.JointState(psi=KET0, x=noise.draw_initial(model, stream))
+        with pytest.raises(sde.PathAbortError):
+            for n in range(1, cfg.n_steps + 1):
+                Y = sde.step(Y, ZERO_H, qstate.SIGMA_X, model, cfg, stream)
+        assert n == abort_at
+    # states, xs and fidelities share their rows
+    n_ok = 1000 - len(dead)
+    assert res.fidelities.shape == (n_ok, 21) and res.states.shape == (n_ok, 21, 2)
+    assert np.allclose(np.abs(res.states[:, :, 0]) ** 2, res.fidelities, atol=1e-12)
+    assert np.array_equal(res.xs[:, 0], res.initial_x)
+    assert np.array_equal(res.xs[:, -1], res.terminal_x)
+    # a live path's norm stays in [0.9, 1.5] here; a zeroed dead row would count 1
+    assert res.max_norm_drift < 0.5
+    assert res.summary.n_effective == n_ok
 
 
 def test_trajectories_recorded_when_asked():
