@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import noise as noise_mod
-from .qstate import SIGMA_X, SIGMA_Y, SIGMA_Z, commutator, expect_value, mat_exp
+from .qstate import SIGMA_X, SIGMA_Y, SIGMA_Z, expect_value, mat_exp
 
 _PAULI = {"X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 _CYCLIC = (("X", "Y", "Z"), ("Y", "Z", "X"), ("Z", "X", "Y"))
@@ -55,6 +55,14 @@ B_MATRIX.flags.writeable = False
 
 K_MATRIX = AC_MATRIX @ B_MATRIX - B_MATRIX @ AC_MATRIX
 K_MATRIX.flags.writeable = False
+
+# In rescaled time D(s) = exp(-Ac s) B exp(Ac s) = cos(2s) B - (1/2) sin(2s) K,
+# so every product of two D's is a scalar mix of these three matrices.
+B2_MATRIX = B_MATRIX @ B_MATRIX
+BK_MATRIX = B_MATRIX @ K_MATRIX + K_MATRIX @ B_MATRIX
+K2_MATRIX = K_MATRIX @ K_MATRIX
+for _m in (B2_MATRIX, BK_MATRIX, K2_MATRIX):
+    _m.flags.writeable = False
 
 EPS_SQ_WARN = 0.5
 
@@ -145,14 +153,6 @@ def build_system(sys, phi0):
     return TenSystem(a_c=AC_MATRIX, b=B_MATRIX, v0=v0)
 
 
-def rotating_frame_D(t):
-    """D(t) = exp(-Ac t) B exp(Ac t) = cos(2t) B - (1/2) sin(2t) [Ac, B].
-
-    Valid in rescaled time (alpha = 1).
-    """
-    return math.cos(2 * t) * B_MATRIX - 0.5 * math.sin(2 * t) * K_MATRIX
-
-
 def _wn_magnus_generator(g2, tau):
     """M(tau) = (g2/2) * integral of D^2 over [0, tau], in closed form.
 
@@ -162,10 +162,7 @@ def _wn_magnus_generator(g2, tau):
     c1 = tau / 2 + math.sin(4 * tau) / 8
     c2 = tau / 2 - math.sin(4 * tau) / 8
     c3 = (1 - math.cos(4 * tau)) / 8
-    B2 = B_MATRIX @ B_MATRIX
-    BK = B_MATRIX @ K_MATRIX + K_MATRIX @ B_MATRIX
-    K2 = K_MATRIX @ K_MATRIX
-    return 0.5 * g2 * (c1 * B2 - 0.5 * c3 * BK + 0.25 * c2 * K2)
+    return 0.5 * g2 * (c1 * B2_MATRIX - 0.5 * c3 * BK_MATRIX + 0.25 * c2 * K2_MATRIX)
 
 
 def wn_mean_fidelity(sys, phi0, t):
@@ -192,7 +189,7 @@ def wn_exact_mean(sys, phi0, t):
     E[V](t) = exp((alpha Ac + (gamma^2/2) B^2) t) V0.
     """
     tsys = build_system(sys, phi0)
-    gen = sys.alpha * AC_MATRIX + 0.5 * sys.gamma**2 * (B_MATRIX @ B_MATRIX)
+    gen = sys.alpha * AC_MATRIX + 0.5 * sys.gamma**2 * B2_MATRIX
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.empty(ts.shape)
     for i, ti in enumerate(ts):
@@ -208,15 +205,6 @@ class ApproxMean:
     in_range: bool
 
 
-def _inner_integral(s, c):
-    """integral_0^s e^{c s'} D(s') ds' via elementary antiderivatives."""
-    den = c * c + 4.0
-    ecs = math.exp(c * s)
-    ib = (ecs * (c * math.cos(2 * s) + 2 * math.sin(2 * s)) - c) / den
-    ik = (ecs * (c * math.sin(2 * s) - 2 * math.cos(2 * s)) + 2) / den
-    return ib * B_MATRIX - 0.5 * ik * K_MATRIX
-
-
 def ou_second_order_mean(sys, phi0, model, t, n_nodes=400):
     """Second-order expanded Magnus mean for OU noise; approximate.
 
@@ -225,8 +213,12 @@ def ou_second_order_mean(sys, phi0, model, t, n_nodes=400):
          + (g2/4) kh int {e^{-2kh s} D(s), int_0^s e^{2kh s'} D ds'} ds
 
     in rescaled units (kh = k/alpha), outer integrals by composite
-    Simpson with n_nodes intervals.  The expansion is not a proper
-    exponential, so the value can leave [0,1]; in_range records that.
+    Simpson with n_nodes intervals.  As D(s) = cos(2s) B - sin(2s) K/2 and
+    the inner integral is i_B(s) B - i_K(s) K/2, each anticommutator mixes
+    {B,B} = 2B^2, {B,K} = BK + KB and {K,K} = 2K^2 with scalar weights:
+    Simpson sums three weights and the matrices are added once.  The
+    expansion is not a proper exponential, so the value can leave [0,1];
+    in_range records that.
     """
     if model.kind != noise_mod.OU:
         raise ValueError("second-order correction applies to OU noise")
@@ -241,18 +233,22 @@ def ou_second_order_mean(sys, phi0, model, t, n_nodes=400):
     if n_nodes % 2:
         n_nodes += 1
 
-    def outer_integrand(s):
-        d = rotating_frame_D(s)
-        t1 = commutator(math.exp(-kh * s) * d, _inner_integral(s, kh), anti=True)
-        t2 = commutator(math.exp(-2 * kh * s) * d, _inner_integral(s, 2 * kh), anti=True)
-        return -0.5 * g2 * kh * t1 + 0.25 * g2 * kh * t2
-
     h = tau / n_nodes
-    acc = outer_integrand(0.0) + outer_integrand(tau)
-    for j in range(1, n_nodes):
-        acc = acc + (4.0 if j % 2 else 2.0) * outer_integrand(j * h)
-    correction = (h / 3.0) * acc
+    s = np.arange(n_nodes + 1) * h
+    cos2, sin2 = np.cos(2 * s), np.sin(2 * s)
+    weights = np.zeros((3, n_nodes + 1))  # of B^2, BK + KB and K^2 at each node
+    for c, scale in ((kh, -0.5 * g2 * kh), (2 * kh, 0.25 * g2 * kh)):
+        # e^{-cs} times the inner integral, so a large k*s cannot overflow
+        decay, den = np.exp(-c * s), c * c + 4.0
+        j_b = (c * cos2 + 2 * sin2 - c * decay) / den
+        j_k = (c * sin2 - 2 * cos2 + 2 * decay) / den
+        weights += scale * np.array(
+            [2 * cos2 * j_b, -0.5 * (cos2 * j_k + sin2 * j_b), 0.5 * sin2 * j_k])
+    simpson = np.where(np.arange(n_nodes + 1) % 2, 4.0, 2.0)
+    simpson[0] = simpson[-1] = 1.0
+    b2, bk, k2 = (h / 3.0) * (weights @ simpson)
 
-    eu = np.eye(10) + _wn_magnus_generator(g2, tau) + correction
+    eu = np.eye(10) + _wn_magnus_generator(g2, tau)
+    eu += b2 * B2_MATRIX + bk * BK_MATRIX + k2 * K2_MATRIX
     value = float((mat_exp(AC_MATRIX * tau) @ eu @ tsys.v0)[0].real)
     return ApproxMean(value=value, in_range=0.0 <= value <= 1.0)

@@ -12,7 +12,8 @@ simulation config, and names one of six kinds:
 Configs are flat string sections (the CLI reads them from INI files);
 presets are the same shape, one per reference figure.  Running a
 scenario writes summary.csv, optional distribution/closure CSVs, and
-run.json: what reproduces the run, and the run's path diagnostics.
+run.json: what reproduces the run, and the run's path and
+approximation diagnostics.
 """
 
 import json
@@ -187,6 +188,7 @@ def resolve(cfg, label="custom"):
         raw=cfg,
     )
     _validate(scn)
+    _check_step_map(scn)
     return scn
 
 
@@ -252,6 +254,20 @@ def _validate(scn):
             raise ConfigError(f"t_slice {t} is not on the recording grid")
 
 
+def _check_step_map(scn):
+    """Reject values so large that the SDE step itself overflows."""
+    with np.errstate(all="ignore"):
+        R, lin = sde_mod._step_map(
+            scn.hamiltonian(), scn.noise_operator()[0], scn.model,
+            scn.sim.scheme, scn.sim.dt,
+        )
+        finite = np.isfinite(R).all() and np.isfinite(lin).all()
+    if not finite:
+        g, k, a, dt = scn.model.gamma, scn.model.k, scn.alpha, scn.sim.dt
+        raise ConfigError(f"gamma = {g:g}, k = {k:g} or the drive (alpha = {a:g}) "
+                          f"overflow the SDE step at dt = {dt:g}")
+
+
 def scenario_law(scn):
     """The exact fidelity law of a commuting scenario, as a ScenarioLaw."""
     s_op, r_op = scn.noise_operator()
@@ -280,27 +296,29 @@ def magnus_system(scn):
 
 
 def analytic_series(scn, times):
-    """(mean, variance) arrays at the given times; variance nan when
-    no closed form exists (noncommuting)."""
+    """(mean, variance, diagnostics) at the given times; variance nan when
+    no closed form exists (noncommuting), whose diagnostics hold the Magnus
+    eps^2 and, under OU noise, how many means left [0, 1]."""
     times = np.asarray(times, dtype=float)
     if scn.name == "noncommuting":
         sys_ = magnus_system(scn)
+        diagnostics = {"epsilon_sq": sys_.epsilon_sq}
         if scn.model.kind == noise_mod.WHITE:
             mean = magnus_mod.wn_mean_fidelity(sys_, scn.state, times)
         else:
-            mean = np.array(
-                [
-                    magnus_mod.ou_second_order_mean(sys_, scn.state, scn.model, t).value
-                    for t in times
-                ]
-            )
-        return mean, np.full(times.shape, np.nan)
+            approx = [
+                magnus_mod.ou_second_order_mean(sys_, scn.state, scn.model, t)
+                for t in times
+            ]
+            mean = np.array([a.value for a in approx])
+            diagnostics["magnus_out_of_range"] = sum(not a.in_range for a in approx)
+        return mean, np.full(times.shape, np.nan), diagnostics
     law = scenario_law(scn)
     mean = np.empty(times.shape)
     var = np.empty(times.shape)
     for i, t in enumerate(times):
         mean[i], var[i] = laws_mod.series_mean_variance(law.series, scn.model, t)
-    return mean, var
+    return mean, var, {}
 
 
 @dataclass
@@ -325,7 +343,7 @@ def run_scenario(scn):
     s_op, _ = scn.noise_operator()
     sim_result = sde_mod.simulate_paths(H, s_op, scn.model, scn.state, scn.sim)
     times = sim_result.times
-    mean, var = analytic_series(scn, times)
+    mean, var, diagnostics = analytic_series(scn, times)
 
     slice_samples = {}
     if scn.name == "distribution":
@@ -364,8 +382,10 @@ def run_scenario(scn):
             "second": second.fidelity[::stride],
             "exact": exact,
         }
+        diagnostics["closure_imag_residue"] = {
+            "first_order": first.imag_residue, "second_order": second.imag_residue}
 
-    files = _write_artifacts(scn, sim_result, mean, var, slice_samples, closure)
+    files = _write_artifacts(scn, sim_result, mean, var, slice_samples, closure, diagnostics)
     return RunResult(
         scenario=scn,
         sim=sim_result,
@@ -391,7 +411,7 @@ def _fmt(x):
     return repr(float(x))
 
 
-def _write_artifacts(scn, sim_result, mean, var, slice_samples, closure):
+def _write_artifacts(scn, sim_result, mean, var, slice_samples, closure, diagnostics):
     os.makedirs(scn.out_dir, exist_ok=True)
     files = []
 
@@ -448,6 +468,7 @@ def _write_artifacts(scn, sim_result, mean, var, slice_samples, closure):
             "aborted": sim_result.aborted,
             "max_norm_drift": sim_result.max_norm_drift,
             "max_range_violation": sim_result.max_range_violation,
+            **diagnostics,
         },
         "versions": {
             "python": sys.version.split()[0],

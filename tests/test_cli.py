@@ -61,6 +61,7 @@ def test_run_config_file(tmp_path, capsys):
     diag = doc["diagnostics"]
     assert diag["n_paths"] == diag["n_effective"] == 40 and diag["aborted"] == []
     assert 0 <= diag["max_norm_drift"] < 1e-3 and 0 <= diag["max_range_violation"] < 1e-6
+    assert not {"epsilon_sq", "magnus_out_of_range", "closure_imag_residue"} & set(diag)
 
 
 def test_run_json_names_aborted_paths(tmp_path, capsys):
@@ -78,6 +79,31 @@ def test_run_json_names_aborted_paths(tmp_path, capsys):
     assert diag["n_paths"] == 1000 and diag["n_effective"] == 995
     assert diag["aborted"] == [[170, 5], [394, 4], [553, 4], [740, 11], [981, 1]]
     assert diag["max_norm_drift"] < 0.5
+
+
+def test_run_json_records_approximation_diagnostics(tmp_path):
+    # at k = 1000 the second-order Magnus mean overshoots 1 at every t > 0
+    noncommuting = TINY_INI.replace("kind = pauli", "kind = noncommuting").replace(
+        "noise_op = X", "noise_op = Z\nhamiltonian = X").replace(
+        "kind = white", "kind = ou").replace("gamma = 0.2", "gamma = 0.2\nk = 1000").replace(
+        "dt = 0.01", "dt = 0.0001").replace("record_every = 10", "record_every = 1000").replace(
+        "n_paths = 40", "n_paths = 2")
+    assert cli.main(["run", write_config(tmp_path, text=noncommuting, out=tmp_path / "nc")]) == 0
+    diag = json.loads((tmp_path / "nc" / "run.json").read_text())["diagnostics"]
+    rows = np.loadtxt(tmp_path / "nc" / "summary.csv", delimiter=",", skiprows=1)
+    assert diag["epsilon_sq"] == pytest.approx(0.04)
+    assert diag["magnus_out_of_range"] == np.count_nonzero(rows[:, 1] > 1) == 5
+
+    white = noncommuting.replace("kind = ou", "kind = white").replace("\nk = 1000", "")
+    assert cli.main(["run", write_config(tmp_path, text=white, out=tmp_path / "wn")]) == 0
+    diag = json.loads((tmp_path / "wn" / "run.json").read_text())["diagnostics"]
+    assert diag["epsilon_sq"] == pytest.approx(0.04) and "magnus_out_of_range" not in diag
+
+    assert cli.main(["run", write_config(tmp_path, text=APPROX_INI, out=tmp_path / "ap")]) == 0
+    diag = json.loads((tmp_path / "ap" / "run.json").read_text())["diagnostics"]
+    residue = diag["closure_imag_residue"]
+    assert set(residue) == {"first_order", "second_order"}
+    assert all(0 <= r < 1e-9 for r in residue.values()), residue
 
 
 def test_overrides_reach_run_json(tmp_path):
@@ -154,9 +180,21 @@ BAD_VALUES = {
         "noise_op = X", "noise_op = Z\nhamiltonian = X\nalpha = nan"),
     "steps_overflow": TINY_INI.replace("dt = 0.01", "dt = 1e-300").replace(
         "record_every = 10", "record_every = 1"),
+    # finite values whose SDE step map overflows
+    "gamma_step_overflow": TINY_INI.replace("gamma = 0.2", "gamma = 1e200"),
+    "gamma_squared_step_overflow": TINY_INI.replace("gamma = 0.2", "gamma = 1e150"),
+    "k_step_overflow": TINY_INI.replace("kind = white", "kind = ou").replace(
+        "gamma = 0.2", "gamma = 0.2\nk = 1e200"),
+    "drive_step_overflow": TINY_INI.replace(
+        "noise_op = X", "noise_op = X\nhamiltonian = X\nalpha = 1e300"),
+    "noncommuting_step_overflow": TINY_INI.replace(
+        "kind = pauli", "kind = noncommuting").replace(
+        "noise_op = X", "noise_op = Z\nhamiltonian = X").replace(
+        "gamma = 0.2", "gamma = 1e200"),
 }
 
 
+@pytest.mark.filterwarnings("error")  # a rejected config prints no warning either
 @pytest.mark.parametrize("case", sorted(BAD_VALUES))
 def test_bad_values_rejected_before_any_compute(tmp_path, capsys, case):
     out = tmp_path / "never"
@@ -164,6 +202,8 @@ def test_bad_values_rejected_before_any_compute(tmp_path, capsys, case):
     assert cli.main(["run", cfg]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:"), err
+    if case.endswith("step_overflow"):
+        assert "overflow the SDE step at dt = 0.01" in err[0], err
     # the output directory is made only once the simulation has run
     assert not out.exists()
 

@@ -49,8 +49,14 @@ def test_matrix_entries():
         assert not m.flags.writeable
 
 
+def rotating_frame_D(t):
+    """D(t) = cos(2t) B - (1/2) sin(2t) K, in rescaled time."""
+    return math.cos(2 * t) * magnus.B_MATRIX - 0.5 * math.sin(2 * t) * magnus.K_MATRIX
+
+
 def test_rotating_frame_identity():
-    """cos(2t) B - sin(2t) K/2 must equal the conjugated generator."""
+    """cos(2t) B - sin(2t) K/2 must equal the conjugated generator; the
+    OU quadrature and the white-noise generator both rest on it."""
     rng = np.random.default_rng(1)
     for t in rng.uniform(0, 10, size=12):
         want = (
@@ -58,7 +64,13 @@ def test_rotating_frame_identity():
             @ magnus.B_MATRIX
             @ scipy.linalg.expm(magnus.AC_MATRIX * t)
         )
-        assert np.max(np.abs(magnus.rotating_frame_D(t) - want)) < 1e-10
+        assert np.max(np.abs(rotating_frame_D(t) - want)) < 1e-10
+    B, K = magnus.B_MATRIX, magnus.K_MATRIX
+    assert np.array_equal(magnus.B2_MATRIX, B @ B)
+    assert np.array_equal(magnus.BK_MATRIX, B @ K + K @ B)
+    assert np.array_equal(magnus.K2_MATRIX, K @ K)
+    for m in (magnus.B2_MATRIX, magnus.BK_MATRIX, magnus.K2_MATRIX):
+        assert not m.flags.writeable
 
 
 def test_system_validation():
@@ -193,3 +205,59 @@ def test_ou_second_order_against_monte_carlo():
         approx = magnus.ou_second_order_mean(sys, KET0, model, res.times[j])
         assert approx.in_range
         assert abs(approx.value - res.summary.mean_f[j]) < 0.02
+
+
+def ou_second_order_reference(sys, phi0, model, t, n_nodes=400):
+    """The matrix-valued Simpson loop: two 10x10 anticommutators per node."""
+    tsys = magnus.build_system(sys, phi0)
+    tau, g2, kh = sys.alpha * t, sys.epsilon_sq, model.k / sys.alpha
+    if tau == 0:
+        return magnus.ApproxMean(value=1.0, in_range=True)
+    n_nodes += n_nodes % 2
+
+    def inner_integral(s, c):
+        den, ecs = c * c + 4.0, math.exp(c * s)
+        ib = (ecs * (c * math.cos(2 * s) + 2 * math.sin(2 * s)) - c) / den
+        ik = (ecs * (c * math.sin(2 * s) - 2 * math.cos(2 * s)) + 2) / den
+        return ib * magnus.B_MATRIX - 0.5 * ik * magnus.K_MATRIX
+
+    def outer_integrand(s):
+        d = rotating_frame_D(s)
+        t1 = qstate.commutator(math.exp(-kh * s) * d, inner_integral(s, kh), anti=True)
+        t2 = qstate.commutator(math.exp(-2 * kh * s) * d, inner_integral(s, 2 * kh),
+                               anti=True)
+        return -0.5 * g2 * kh * t1 + 0.25 * g2 * kh * t2
+
+    h = tau / n_nodes
+    acc = outer_integrand(0.0) + outer_integrand(tau)
+    for j in range(1, n_nodes):
+        acc = acc + (4.0 if j % 2 else 2.0) * outer_integrand(j * h)
+    eu = np.eye(10) + magnus._wn_magnus_generator(g2, tau) + (h / 3.0) * acc
+    value = float((qstate.mat_exp(magnus.AC_MATRIX * tau) @ eu @ tsys.v0)[0].real)
+    return magnus.ApproxMean(value=value, in_range=0.0 <= value <= 1.0)
+
+
+def test_ou_second_order_matches_matrix_quadrature():
+    """The three-weight quadrature against the matrix-valued loop it replaces."""
+    rng = np.random.default_rng(23)
+    triples = [("X", "Y", "Z"), ("Y", "Z", "X"), ("Z", "X", "Y"),
+               ("X", "Z", "Y"), ("Z", "Y", "X"), ("Y", "X", "Z")]
+    gamma, seen_out_of_range = 0.3, False
+    for triple in triples:
+        phi0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        phi0 /= np.linalg.norm(phi0)
+        for alpha in (0.7, 1.0, 2.0):
+            sys = magnus.system_for_state(alpha, gamma, triple, phi0)
+            for k in (1e-8, 0.05, 1.0, 3.0):
+                model = noise.ou_noise(gamma, k)
+                for t, n_nodes in ((0.0, 400), (0.4, 400), (2.5, 51), (8.0, 400)):
+                    got = magnus.ou_second_order_mean(sys, phi0, model, t, n_nodes)
+                    want = ou_second_order_reference(sys, phi0, model, t, n_nodes)
+                    assert abs(got.value - want.value) <= 1e-13
+                    assert got.in_range == want.in_range
+                    seen_out_of_range |= not want.in_range
+    assert seen_out_of_range  # the in_range comparison is not vacuous
+    # e^{k t} alone overflows a double here; the decaying form stays finite
+    sys = magnus.system_for_state(1.0, gamma, ("X", "Z", "Y"), KET0)
+    assert math.isfinite(
+        magnus.ou_second_order_mean(sys, KET0, noise.ou_noise(gamma, 400.0), 2.0).value)

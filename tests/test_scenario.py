@@ -133,7 +133,8 @@ def test_preset_scenarios_resolve():
 def test_analytic_series_pauli():
     scn = scenario.resolve(minimal_cfg())
     ts = np.array([0.0, 0.25, 0.5])
-    mean, var = scenario.analytic_series(scn, ts)
+    mean, var, diagnostics = scenario.analytic_series(scn, ts)
+    assert diagnostics == {}
     assert mean[0] == pytest.approx(1.0)
     assert np.all(np.diff(mean) < 0)
     assert var[0] == pytest.approx(0.0, abs=1e-12)
