@@ -58,6 +58,16 @@ _ALLOWED_KEYS = {
 }
 
 
+# Ceilings on the work one run may request, checked at resolve before any
+# compute.  The largest preset, fig7b, asks for 1e8 path-steps (about 15 s
+# at 150 ns each) and fig4 for 2e5 recorded fidelities; fig3 scans the
+# closures for 1.5e5 steps.  A config above a ceiling would run for many
+# minutes or fail to allocate its arrays.
+MAX_PATH_STEPS = 10**9        # n_paths x n_steps
+MAX_RECORDED = 10**7          # n_paths x recorded times: 8 bytes each
+MAX_CLOSURE_STEPS = 10**6     # RK4 steps of each closure scan
+
+
 class ConfigError(ValueError):
     """Anything wrong with a scenario config (unknown key, bad value)."""
 
@@ -188,6 +198,7 @@ def resolve(cfg, label="custom"):
         raw=cfg,
     )
     _validate(scn)
+    _check_budget(scn)
     _check_step_map(scn)
     return scn
 
@@ -254,18 +265,42 @@ def _validate(scn):
             raise ConfigError(f"t_slice {t} is not on the recording grid")
 
 
+def _check_budget(scn):
+    """Reject a run that asks for more work than the MAX_* ceilings."""
+    sim = scn.sim
+    n_steps = sim.n_steps
+    n_rec = n_steps // sim.record_every + 1
+    scan_steps = 0
+    if scn.name == "approx-order":
+        scan_steps = round((scn.scan_T or sim.T) / approx_mod.DEFAULT_DT)
+    for size, ceiling, what in (
+        (sim.n_paths * n_steps, MAX_PATH_STEPS,
+         f"n_paths x n_steps = {sim.n_paths} x {n_steps} path-steps exceed MAX_PATH_STEPS"),
+        (sim.n_paths * n_rec, MAX_RECORDED,
+         f"n_paths x recorded times = {sim.n_paths} x {n_rec} values exceed MAX_RECORDED"),
+        (scan_steps, MAX_CLOSURE_STEPS,
+         f"the closure scan's {scan_steps} RK4 steps exceed MAX_CLOSURE_STEPS"),
+    ):
+        if size > ceiling:
+            raise ConfigError(f"{what} = {ceiling:.0e}")
+
+
 def _check_step_map(scn):
-    """Reject values so large that the SDE step itself overflows."""
+    """Reject values so large that the SDE step itself overflows, and an
+    OU step that amplifies the noise (|x'/x| > 1, i.e. k*dt > 2)."""
     with np.errstate(all="ignore"):
-        R, lin = sde_mod._step_map(
+        R, (ax, an) = sde_mod._step_map(
             scn.hamiltonian(), scn.noise_operator()[0], scn.model,
             scn.sim.scheme, scn.sim.dt,
         )
-        finite = np.isfinite(R).all() and np.isfinite(lin).all()
+        finite = np.isfinite(R).all() and math.isfinite(ax) and math.isfinite(an)
+    g, k, a, dt = scn.model.gamma, scn.model.k, scn.alpha, scn.sim.dt
     if not finite:
-        g, k, a, dt = scn.model.gamma, scn.model.k, scn.alpha, scn.sim.dt
         raise ConfigError(f"gamma = {g:g}, k = {k:g} or the drive (alpha = {a:g}) "
                           f"overflow the SDE step at dt = {dt:g}")
+    if abs(ax) > 1:
+        raise ConfigError(f"k*dt = {k * dt:g} > 2 makes the OU step unstable: it scales "
+                          f"X by {ax:g} per step (k = {k:g}, dt = {dt:g})")
 
 
 def scenario_law(scn):

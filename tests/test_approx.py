@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,11 @@ def test_noise_second_moment():
     assert approx.noise_second_moment(t, g, k) == pytest.approx(want, abs=1e-15)
     # long-time plateau at the stationary second moment
     assert approx.noise_second_moment(1e3, g, k) == pytest.approx(g * g / (2 * k))
+    # a time array gives the scalar values elementwise
+    ts = np.array([0.0, t, 1e3])
+    for kk in (0.0, k):
+        want = [approx.noise_second_moment(float(s), g, kk) for s in ts]
+        assert np.array_equal(approx.noise_second_moment(ts, g, kk), want)
 
 
 def test_first_order_matrix_entries():
@@ -32,6 +38,9 @@ def test_first_order_matrix_entries():
     assert m[1, 2] == -1j * k
     assert m[2, 0] == 2j * p and m[2, 1] == -2j * p
     assert m[2, 2] == -(k + 2 * g2)
+    stack = approx.first_order_matrix(np.array([0.0, t]), g, k)
+    assert stack.shape == (2, 3, 3) and np.array_equal(stack[1], m)
+    assert np.array_equal(stack[0], approx.first_order_matrix(0.0, g, k))
 
 
 def test_second_order_matrix_entries():
@@ -46,27 +55,30 @@ def test_second_order_matrix_entries():
     assert m[5, 5] == -(3 * k + 2 * g2)
     # the first-order block is embedded in the upper-left corner
     assert np.allclose(m[:2, :3], approx.first_order_matrix(t, g, k)[:2, :3])
+    stack = approx.second_order_matrix(np.array([0.0, t]), g, k)
+    assert stack.shape == (2, 6, 6) and np.array_equal(stack[1], m)
+    assert np.array_equal(stack[0], approx.second_order_matrix(0.0, g, k))
 
 
-def test_build_closure_orders():
-    s1 = approx.build_closure(1, 0.2, 0.1, 0.0)
-    s2 = approx.build_closure(2, 0.2, 0.1, 0.5)
+def test_closure_systems():
+    s1 = approx.first_order_system(0.2, 0.1, 0.0)
+    s2 = approx.second_order_system(0.2, 0.1, 0.5)
     assert s1.order == 1 and len(s1.v0) == 3
     assert s2.order == 2 and len(s2.v0) == 6
     assert s2.v0[1] == 0.25
-    with pytest.raises(ValueError):
-        approx.build_closure(3, 0.2, 0.1, 0.0)
+    ts = np.array([0.0, 0.5])
+    assert s1.matrix_fn(ts).shape == (2, 3, 3) and s2.matrix_fn(ts).shape == (2, 6, 6)
 
 
 def test_zero_noise_keeps_unit_fidelity():
-    series = approx.integrate_closure(approx.build_closure(1, 0.0, 0.1, 0.0), 5.0)
+    series = approx.integrate_closure(approx.first_order_system(0.0, 0.1, 0.0), 5.0)
     assert np.max(np.abs(series.fidelity - 1.0)) < 1e-12
-    series = approx.integrate_closure(approx.build_closure(2, 0.0, 0.1, 0.0), 5.0)
+    series = approx.integrate_closure(approx.second_order_system(0.0, 0.1, 0.0), 5.0)
     assert np.max(np.abs(series.fidelity - 1.0)) < 1e-12
 
 
 def test_rk4_self_convergence():
-    sysm = approx.build_closure(2, 0.2, 0.1, 0.0)
+    sysm = approx.second_order_system(0.2, 0.1, 0.0)
     a = approx.integrate_closure(sysm, 10.0, dt=1e-3)
     b = approx.integrate_closure(sysm, 10.0, dt=5e-4)
     assert abs(a.fidelity[-1] - b.fidelity[-1]) < 1e-8
@@ -79,7 +91,7 @@ def test_rk4_self_convergence():
 def test_short_time_slope():
     # E[F] = 1 - (1 - s0^2) gamma^2 t + O(t^2) for calibrated OU
     g, k, s0 = 0.2, 0.1, 0.0
-    series = approx.integrate_closure(approx.build_closure(1, g, k, s0), 0.1)
+    series = approx.integrate_closure(approx.first_order_system(g, k, s0), 0.1)
     slope = (series.fidelity[10] - series.fidelity[0]) / series.times[10]
     assert slope == pytest.approx(-g * g * (1 - s0 * s0), rel=0.05)
 
@@ -88,8 +100,8 @@ def test_closure_tracks_exact_law_at_early_times():
     g, k, s0 = 0.2, 0.1, 0.0
     T = 5.0
     exact = None
-    for order in (1, 2):
-        series = approx.integrate_closure(approx.build_closure(order, g, k, s0), T)
+    for make in (approx.first_order_system, approx.second_order_system):
+        series = approx.integrate_closure(make(g, k, s0), T)
         if exact is None:
             exact = exact_pauli_mean(series.times, g, k, s0)
         gap = np.abs(series.fidelity - exact)
@@ -101,8 +113,8 @@ def test_second_order_dominates_first():
     """Sup-norm error of order 2 must not exceed order 1 on [0, 5]."""
     g, k, s0 = 0.2, 0.1, 0.0
     T = 5.0
-    s1 = approx.integrate_closure(approx.build_closure(1, g, k, s0), T)
-    s2 = approx.integrate_closure(approx.build_closure(2, g, k, s0), T)
+    s1 = approx.integrate_closure(approx.first_order_system(g, k, s0), T)
+    s2 = approx.integrate_closure(approx.second_order_system(g, k, s0), T)
     exact = exact_pauli_mean(s1.times, g, k, s0)
     e1 = np.abs(s1.fidelity - exact).max()
     e2 = np.abs(s2.fidelity - exact).max()
@@ -113,6 +125,52 @@ def test_long_time_closure_breakdown_is_reported_not_hidden():
     # the truncation eventually misbehaves; integrate far out and check
     # the series still flows through (no exception, finite values)
     g, k, s0 = 0.2, 0.1, 0.0
-    series = approx.integrate_closure(approx.build_closure(2, g, k, s0), 150.0)
+    series = approx.integrate_closure(approx.second_order_system(g, k, s0), 150.0)
     assert np.all(np.isfinite(series.fidelity))
     assert series.times[-1] == pytest.approx(150.0)
+
+
+def rk4_loop(system, T, dt=approx.DEFAULT_DT):
+    """The step-by-step classical RK4 that integrate_closure batches:
+    (fidelity series, max |Im x_1| over the steps)."""
+    m = system.matrix_fn
+    x = system.v0.astype(complex).copy()
+    fid = [x[0].real]
+    residue = 0.0
+    for i in range(int(round(T / dt))):
+        t = i * dt
+        m0, mh, m1 = m(t), m(t + 0.5 * dt), m(t + dt)
+        k1 = m0 @ x
+        k2 = mh @ (x + 0.5 * dt * k1)
+        k3 = mh @ (x + 0.5 * dt * k2)
+        k4 = m1 @ (x + dt * k3)
+        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        fid.append(x[0].real)
+        residue = max(residue, abs(x[0].imag))
+    return np.array(fid), residue
+
+
+@pytest.mark.parametrize("make", [approx.first_order_system, approx.second_order_system])
+@pytest.mark.parametrize("g, k, s0", [(0.2, 0.1, 0.0), (0.3, 0.0, 0.5), (0.0, 0.4, 0.2)])
+def test_integrate_closure_matches_rk4_loop(make, g, k, s0):
+    system = make(g, k, s0)
+    # 10000 steps end inside a chunk, 512 fill two whole chunks, 1 and 0
+    # steps are the shortest scans
+    for T in (10.0, 0.512, 0.001, 0.0):
+        series = approx.integrate_closure(system, T)
+        want, residue = rk4_loop(system, T)
+        assert series.times.shape == want.shape
+        assert np.abs(series.fidelity - want).max() <= 1e-12
+        assert series.imag_residue == residue
+
+
+def test_closure_scan_working_set_stays_flat():
+    system = approx.second_order_system(0.2, 0.1, 0.0)
+    approx.integrate_closure(system, 0.3)  # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        approx.integrate_closure(system, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6, peak

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from sselab import cli, scenario, sde
+from sselab import approx, cli, scenario, sde
 
 TINY_INI = """\
 [scenario]
@@ -136,15 +136,6 @@ def test_run_failure_exit_code(tmp_path, capsys):
     assert "run failed" in capsys.readouterr().err
 
 
-def test_run_too_large_to_record_fails_without_traceback(tmp_path, capsys):
-    # 1e15 steps pass resolve, but their time grid alone needs petabytes
-    text = TINY_INI.replace("dt = 0.01", "dt = 1e-15").replace(
-        "record_every = 10", "record_every = 1")
-    assert cli.main(["run", write_config(tmp_path, text=text, out=tmp_path / "big")]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("run failed:"), err
-
-
 def test_check_passes_on_healthy_run(tmp_path, capsys):
     cfg = write_config(tmp_path, out=tmp_path / "chk")
     code = cli.main(["run", cfg, "--paths", "300", "--check"])
@@ -191,6 +182,18 @@ BAD_VALUES = {
         "kind = pauli", "kind = noncommuting").replace(
         "noise_op = X", "noise_op = Z\nhamiltonian = X").replace(
         "gamma = 0.2", "gamma = 1e200"),
+    # k*dt = 10: the Platen noise update scales x by 41 per step
+    "ou_step_unstable": TINY_INI.replace("kind = pauli", "kind = noncommuting").replace(
+        "noise_op = X", "noise_op = Z\nhamiltonian = X").replace(
+        "kind = white", "kind = ou").replace("gamma = 0.2", "gamma = 0.2\nk = 1000").replace(
+        "n_paths = 40", "n_paths = 2"),
+    # work above the scenario.MAX_* ceilings
+    "path_steps_dt_1e-9": TINY_INI.replace("dt = 0.01", "dt = 1e-9").replace(
+        "t = 0.5", "t = 1000"),
+    "path_steps_dt_1e-15": TINY_INI.replace("dt = 0.01", "dt = 1e-15").replace(
+        "t = 0.5", "t = 1").replace("record_every = 10", "record_every = 1"),
+    "recorded_values": TINY_INI.replace("n_paths = 40", "n_paths = 2000000"),
+    "closure_scan_steps": APPROX_INI.replace("[output]", "[output]\nscan_t = 10000"),
 }
 
 
@@ -204,6 +207,10 @@ def test_bad_values_rejected_before_any_compute(tmp_path, capsys, case):
     assert len(err) == 1 and err[0].startswith("config error:"), err
     if case.endswith("step_overflow"):
         assert "overflow the SDE step at dt = 0.01" in err[0], err
+    if case == "ou_step_unstable":
+        assert "k*dt = 10 > 2" in err[0] and "by 41 per step" in err[0], err
+    if case.startswith(("path_steps", "recorded_values", "closure_scan")):
+        assert "exceed MAX_" in err[0], err
     # the output directory is made only once the simulation has run
     assert not out.exists()
 
@@ -241,6 +248,17 @@ SIZED = {
     ("sim", "t"): ("0.04", "0", "-1", "inf", "x"),
     ("output", "scan_t"): ("0", "0.05", "-1", "nan", "0.0005"),
 }
+# Sizes that pass every other check, next to ones that an accepted run could
+# not afford: k*dt on both sides of 2 at dt = 0.01 or 0.02, and requests above
+# the scenario.MAX_* ceilings.  Only the resolve fuzz draws them.
+RESIZED = {
+    ("noise", "k"): ("0.5", "150", "250"),
+    ("sim", "n_paths"): ("2", "3000000", "100000000"),
+    ("sim", "dt"): ("0.01", "0.02", "1e-9"),
+    ("sim", "t"): ("0", "0.04", "1000"),
+    ("sim", "record_every"): ("1", "2"),
+    ("output", "scan_t"): ("0", "0.05", "5000"),
+}
 
 
 @st.composite
@@ -259,14 +277,37 @@ def _configs(draw, fuzz_sized):
     return cfg
 
 
+@st.composite
+def _resized_presets(draw):
+    """A preset with its sizes drawn from RESIZED."""
+    name = draw(st.sampled_from(sorted(scenario.PRESETS)))
+    cfg = {section: dict(entries) for section, entries in scenario.PRESETS[name].items()}
+    for (section, key), vals in RESIZED.items():
+        cfg[section][key] = draw(st.sampled_from(vals))
+    return cfg
+
+
 @settings(max_examples=300, deadline=None)
-@given(cfg=_configs(fuzz_sized=True))
+@given(cfg=st.one_of(_configs(fuzz_sized=True), _resized_presets()))
+@example(cfg={"scenario": {"kind": "pauli"}, "noise": {"kind": "ou", "k": "250"},
+              "sim": {"dt": "0.01", "t": "0.04"}})
+@example(cfg={"scenario": {"kind": "pauli"}, "sim": {"dt": "1e-9", "t": "1000"}})
+@example(cfg={"scenario": {"kind": "pauli"}, "sim": {"t": "0", "n_paths": "100000000"}})
+@example(cfg={"scenario": {"kind": "approx-order"}, "noise": {"k": "0.1"},
+              "output": {"scan_t": "5000"}})
 def test_resolve_fuzz_raises_only_config_error(cfg):
     try:
         scn = scenario.resolve(cfg)
     except scenario.ConfigError:
         return
     assert isinstance(scn, scenario.Scenario)
+    # an unstable OU step or an oversized request never gets past resolve
+    sim = scn.sim
+    assert scn.model.k * sim.dt <= 2
+    assert sim.n_paths * sim.n_steps <= scenario.MAX_PATH_STEPS
+    assert sim.n_paths * (sim.n_steps // sim.record_every + 1) <= scenario.MAX_RECORDED
+    if scn.name == "approx-order":
+        assert (scn.scan_T or sim.T) / approx.DEFAULT_DT <= scenario.MAX_CLOSURE_STEPS
 
 
 @settings(max_examples=200, deadline=None,
