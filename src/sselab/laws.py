@@ -1,17 +1,22 @@
 """Closed-form pathwise fidelity laws as finite cosine series.
 
-For every commuting noise scenario the fidelity is an exact finite
-cosine polynomial in the noise increment Delta X = X_t - X_0:
+When [H, S] = 0 a path's state is exp(-iHt) exp(-iS Delta X) phi0, so
+its fidelity is an exact finite cosine polynomial in the noise
+increment Delta X = X_t - X_0:
 
-    F(Delta X) = sum_m c_m cos(m Delta X).
+    F(Delta X) = sum_{j,l} p_j p_l cos((s_j - s_l) Delta X)
+               = sum_m c_m cos(m Delta X),
 
-Because Delta X is Gaussian, means are exact via the characteristic
-function and second moments via series self-convolution; nothing here
-involves quadrature or truncation.
+with s_j the eigenvalues of S and p_j = |<v_j|phi0>|^2.  The
+frequencies m are the eigenvalue gaps of S (`spectral_law`); for the
+Pauli, projection and two-qubit couplings they are the integer
+harmonics of the closed forms below.  Because Delta X is Gaussian,
+means are exact via the characteristic function and second moments via
+series self-convolution; nothing here involves quadrature or
+truncation.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -22,19 +27,13 @@ class LawRangeError(ValueError):
     """Raised when a candidate law leaves [0,1] on the validation grid."""
 
 
-class DiagonalizationError(ValueError):
-    """Raised when the ODE matrices cannot be jointly diagonalized.
-
-    Non-commuting systems land here; they are handled by the Magnus
-    route in `magnus` instead.
-    """
-
-
 @dataclass(frozen=True)
 class CosineSeries:
     """Finite cosine polynomial sum_m c_m cos(m x).
 
-    terms: tuple of (harmonic m >= 0, coefficient c_m), sorted by m.
+    terms: tuple of (frequency m >= 0, coefficient c_m), sorted by m.
+    The frequencies are eigenvalue gaps of the noise operator: integer
+    harmonics for the named couplings, any real gap in general.
     """
 
     terms: tuple
@@ -67,27 +66,29 @@ def _make_series(coeffs):
     return CosineSeries(terms=terms)
 
 
+def spectral_law(S, phi0):
+    """The law of any Hermitian S commuting with H, from one eigh.
+
+    F = sum_{j,l} p_j p_l cos((s_j - s_l) Delta X); the pairwise weights
+    are merged by their gap rounded to 12 decimals, so eigenvalues equal
+    up to round-off share one term.
+    """
+    s, v = np.linalg.eigh(S)
+    p = np.abs(v.conj().T @ phi0) ** 2
+    p /= p.sum()
+    gaps = np.round(np.abs(s[:, None] - s[None, :]), 12)
+    coeffs = {}
+    for gap, w in zip(gaps.ravel().tolist(), np.outer(p, p).ravel().tolist()):
+        coeffs[gap] = coeffs.get(gap, 0.0) + w
+    return _make_series(coeffs)
+
+
 @dataclass(frozen=True)
 class ScenarioLaw:
-    """A fidelity law bound to its scenario parameters."""
+    """A scenario's fidelity law and its coupling parameter s0."""
 
     series: CosineSeries
     s0: float
-    model: noise_mod.NoiseModel
-    r0: Optional[float] = None
-
-    def to_json(self):
-        return {
-            "harmonics": [[m, c] for m, c in self.series.terms],
-            "s0": self.s0,
-            "r0": self.r0,
-            "model": {
-                "kind": self.model.kind,
-                "gamma": self.model.gamma,
-                "k": self.model.k,
-                "init": self.model.init,
-            },
-        }
 
 
 def pauli_law(s0):
@@ -211,63 +212,3 @@ def sample_distribution(law, model, t, n, stream):
     _, v = noise_mod.terminal_increment_law(model, t)
     dx = np.sqrt(v) * stream.standard_normal(n)
     return law.evaluate(dx)
-
-
-def diagonalized_solve(A, B, a, b, V0):
-    """Solve dV = (A V + a) dt + (B V + b) dX pathwise in Delta X.
-
-    Requires A and B simultaneously diagonalizable with B's spectrum on
-    the imaginary axis and A = (gamma^2/2) B^2 for some gamma >= 0 (the
-    structure under which the dt drift is exactly the Ito correction of
-    exp(Lambda Delta X)).  Returns a callable V(delta_x) -> real vector
-    (vectorized over a grid); its first component is the fidelity law.
-    """
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    a = np.asarray(a, dtype=complex).reshape(-1)
-    b = np.asarray(b, dtype=complex).reshape(-1)
-    V0 = np.asarray(V0, dtype=complex).reshape(-1)
-    m = B.shape[0]
-
-    lam, P = np.linalg.eig(B)
-    if np.linalg.cond(P) > 1e8:
-        raise DiagonalizationError("B is not (stably) diagonalizable")
-    Pinv = np.linalg.inv(P)
-    A_diag = Pinv @ A @ P
-    off = A_diag - np.diag(np.diag(A_diag))
-    scale = max(np.abs(A).max(), 1.0)
-    if np.abs(off).max() > 1e-9 * scale:
-        raise DiagonalizationError(
-            "A and B are not simultaneously diagonalizable; "
-            "non-commuting systems take the Magnus route"
-        )
-    alpha = np.diag(A_diag)
-    # drift must equal the Ito correction: alpha_j = (gamma^2/2) lam_j^2
-    # with lam_j imaginary, so alpha_j real <= 0 on the lam != 0 modes
-    nz = np.abs(lam) > 1e-12 * max(np.abs(lam).max(), 1.0)
-    if np.any(np.abs(lam[nz].real) > 1e-9):
-        raise DiagonalizationError("B spectrum is not imaginary")
-    if np.any(nz):
-        g2 = 2 * alpha[nz] / lam[nz] ** 2
-        if np.abs(g2 - g2[0]).max() > 1e-9 * max(1.0, abs(g2[0])) or g2[0].real < -1e-12:
-            raise DiagonalizationError("A is not (gamma^2/2) B^2")
-    if np.any(np.abs(alpha[~nz]) > 1e-9 * scale):
-        raise DiagonalizationError("A acts on the kernel of B")
-
-    # affine shift: v* with A v* = -a and B v* = -b, stacked least squares
-    stacked = np.vstack([A, B])
-    rhs = np.concatenate([-a, -b])
-    vstar, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
-    if np.linalg.norm(stacked @ vstar - rhs) > 1e-9 * max(1.0, np.linalg.norm(rhs)):
-        raise DiagonalizationError("affine part has no common stationary shift")
-    c = Pinv @ vstar
-    z0 = Pinv @ V0
-
-    def solution(delta_x):
-        dx = np.atleast_1d(np.asarray(delta_x, dtype=float))
-        phases = np.exp(np.outer(lam, dx))  # (m, len(dx))
-        z = phases * (z0 - c)[:, None] + c[:, None]
-        v = (P @ z).real
-        return v if np.asarray(delta_x).ndim else v[:, 0]
-
-    return solution

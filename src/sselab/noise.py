@@ -11,9 +11,7 @@ function gives E[cos(alpha Delta X)] = exp(-alpha^2 v(t) / 2).
 """
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 WHITE = "white"
 OU = "ou"
@@ -59,15 +57,6 @@ def ou_noise(gamma, k, init=CALIBRATED):
     return NoiseModel(OU, gamma, k, init)
 
 
-@dataclass
-class NoisePath:
-    """One sampled realization of the noise process."""
-
-    times: np.ndarray
-    values: np.ndarray
-    seed_record: tuple = field(default_factory=tuple)
-
-
 def _phi1(z):
     """(1 - exp(-z)) / z, stable near z = 0 (value 1)."""
     if z == 0.0:
@@ -80,36 +69,6 @@ def draw_initial(model, stream):
     if model.init == STATIONARY:
         return model.gamma * stream.standard_normal() / math.sqrt(2.0 * model.k)
     return 0.0
-
-
-def sample_path(model, T, dt, stream):
-    """Sample X on the grid 0, dt, ..., T by the exact one-step transition.
-
-    OU: X_{t+dt} = X_t e^{-k dt} + gamma sqrt((1 - e^{-2 k dt}) / 2k) N,
-    white noise: X_{t+dt} = X_t + gamma sqrt(dt) N.  The stationary X0,
-    when requested, is the first draw from the same stream.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if T < dt:
-        raise ValueError("T must be at least dt")
-    n_steps = int(round(T / dt))
-    times = np.arange(n_steps + 1) * dt
-    x0 = draw_initial(model, stream)
-    normals = stream.standard_normal(n_steps)
-    values = np.empty(n_steps + 1)
-    values[0] = x0
-    if model.kind == WHITE or model.k == 0.0:
-        np.cumsum(model.gamma * math.sqrt(dt) * normals, out=values[1:])
-        values[1:] += x0
-    else:
-        decay = math.exp(-model.k * dt)
-        scale = model.gamma * math.sqrt(dt * _phi1(2.0 * model.k * dt))
-        x = x0
-        for i in range(n_steps):
-            x = x * decay + scale * normals[i]
-            values[i + 1] = x
-    return NoisePath(times=times, values=values)
 
 
 def terminal_increment_law(model, t):

@@ -23,16 +23,9 @@ _NAMED = {
     "P1": PROJ_1,
 }
 
-HERMITICITY_TOL = 1e-12
-
 
 class OperatorSpecError(ValueError):
     """Raised for an unknown operator spec or mismatched tensor dims."""
-
-
-def is_hermitian(a, tol=HERMITICITY_TOL):
-    a = np.asarray(a)
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
 
 
 def as_state(amplitudes):

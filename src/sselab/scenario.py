@@ -9,6 +9,11 @@ simulation config, and names one of six kinds:
   distribution                 commuting case that also dumps terminal
                                fidelity samples at chosen time slices
 
+Every commuting kind takes its law from one place, `laws.spectral_law`
+of the noise operator S and the state: a cosine series whose
+frequencies are the eigenvalue gaps of S.  The kinds differ only in
+which S they accept and in what they compute from the law.
+
 Configs are flat string sections (the CLI reads them from INI files);
 presets are the same shape, one per reference figure.  Running a
 scenario writes summary.csv, optional distribution/closure CSVs, and
@@ -95,13 +100,11 @@ class Scenario:
         return self.alpha * h
 
     def noise_operator(self):
+        """S; for twoqubit runs the collective Q (x) I + I (x) Q of base_op Q."""
+        q = self.noise_spec
         if self.name == "twoqubit":
-            base = qstate.build_operator(self.noise_spec)
-            return qstate.build_operator(
-                ("sum", ("tensor", self.noise_spec, "I"),
-                 ("tensor", "I", self.noise_spec))
-            ), np.kron(base, base)
-        return qstate.build_operator(self.noise_spec), None
+            q = ("sum", ("tensor", q, "I"), ("tensor", "I", q))
+        return qstate.build_operator(q)
 
 
 def _parse_op_spec(text):
@@ -234,18 +237,14 @@ def _validate(scn):
             raise ConfigError("noncommuting scenarios are single-qubit, with alpha > 0")
         return
     try:
-        s_op, _ = scn.noise_operator()
+        s_op = scn.noise_operator()
         h = scn.hamiltonian()
     except ValueError as exc:  # an unknown operator name or a bad control number
         raise ConfigError(str(exc)) from exc
     d = scn.state.shape[0]
     if s_op.shape != (d, d) or h.shape != (d, d) or not np.isfinite(h).all():
         raise ConfigError(f"the operators must be finite and act on the {d}-dim state")
-    if scn.name == "twoqubit":
-        base = qstate.build_operator(scn.noise_spec)
-        if _op_class(base) is None:
-            raise ConfigError("base_op must square to I or to itself")
-    else:
+    if scn.name != "twoqubit":
         klass = _op_class(s_op)
         expected = {
             "pauli": "pauli",
@@ -290,7 +289,7 @@ def _check_step_map(scn):
     OU step that amplifies the noise (|x'/x| > 1, i.e. k*dt > 2)."""
     with np.errstate(all="ignore"):
         R, (ax, an) = sde_mod._step_map(
-            scn.hamiltonian(), scn.noise_operator()[0], scn.model,
+            scn.hamiltonian(), scn.noise_operator(), scn.model,
             scn.sim.scheme, scn.sim.dt,
         )
         finite = np.isfinite(R).all() and math.isfinite(ax) and math.isfinite(an)
@@ -304,24 +303,16 @@ def _check_step_map(scn):
 
 
 def scenario_law(scn):
-    """The exact fidelity law of a commuting scenario, as a ScenarioLaw."""
-    s_op, r_op = scn.noise_operator()
-    if scn.name == "twoqubit":
-        base = qstate.build_operator(scn.noise_spec)
-        klass = _op_class(base)
-        s0 = qstate.expect_value(s_op, scn.state).real
-        r0 = qstate.expect_value(r_op, scn.state).real
-        series = laws_mod.two_qubit_law(s0, r0, klass)
-        return laws_mod.ScenarioLaw(series=series, s0=s0, model=scn.model, r0=r0)
-    klass = _op_class(s_op)
-    ev = qstate.expect_value(s_op, scn.state).real
-    if klass == "pauli":
-        s0 = ev
-        series = laws_mod.pauli_law(s0)
-    else:
-        s0 = math.sqrt(max(ev, 0.0))
-        series = laws_mod.projection_law(s0)
-    return laws_mod.ScenarioLaw(series=series, s0=s0, model=scn.model)
+    """The exact fidelity law of a commuting scenario, as a ScenarioLaw.
+
+    s0 is <S>, or sqrt(<S>) for a projection: the amplitude on its
+    S = 1 eigenspace, the parameter `laws.projection_law` takes.
+    """
+    s_op = scn.noise_operator()
+    s0 = qstate.expect_value(s_op, scn.state).real
+    if _op_class(s_op) == "projection":
+        s0 = math.sqrt(max(s0, 0.0))
+    return laws_mod.ScenarioLaw(laws_mod.spectral_law(s_op, scn.state), s0)
 
 
 def magnus_system(scn):
@@ -375,7 +366,7 @@ def _law_sample_stream(seed, idx):
 def run_scenario(scn):
     """Simulate, attach analytics, and write all artifacts (one writer)."""
     H = scn.hamiltonian()
-    s_op, _ = scn.noise_operator()
+    s_op = scn.noise_operator()
     sim_result = sde_mod.simulate_paths(H, s_op, scn.model, scn.state, scn.sim)
     times = sim_result.times
     mean, var, diagnostics = analytic_series(scn, times)
@@ -609,10 +600,3 @@ PRESETS = {
         "output": {"dir": "runs/fig7b"},
     },
 }
-
-
-def preset_scenario(name):
-    if name not in PRESETS:
-        raise ConfigError(f"unknown preset {name!r}")
-    cfg = {section: dict(entries) for section, entries in PRESETS[name].items()}
-    return resolve(cfg, label=name)

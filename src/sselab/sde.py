@@ -37,6 +37,11 @@ CLAMP_TOL = 1e-9
 PRECLAMP_LIMIT = 1e-6
 MAX_ABORT_FRACTION = 0.01
 TIME_BLOCK = 2048
+# Normals drawn per block, over all paths: a wide run draws shorter blocks,
+# so the block stays at 8 MB (one step's normals above 2**20 paths).  A
+# Philox stream yields the same sequence in any block length, so the
+# output does not depend on this.
+BLOCK_NORMALS = 2**20
 
 
 class PathAbortError(RuntimeError):
@@ -254,9 +259,10 @@ def simulate_paths(H, S, model, phi0, config):
             xs[:, slot] = x
 
     record(0)
+    block = min(TIME_BLOCK, max(1, BLOCK_NORMALS // n_paths))
     step_no = 0
     while step_no < n_steps:
-        tb = min(TIME_BLOCK, n_steps - step_no)
+        tb = min(block, n_steps - step_no)
         normals = np.empty((n_paths, tb))
         for j, gen in enumerate(gens):
             normals[j] = gen.standard_normal(tb)

@@ -1,4 +1,4 @@
-"""Sample reduction: summary moments, Gaussian KDE, KS distance.
+"""Sample reduction: summary moments, ECDF, KS distance.
 
 Summation uses math.fsum throughout, so every reduction is exactly
 permutation invariant: reordering the samples changes no bit of the
@@ -6,7 +6,6 @@ output.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -60,37 +59,6 @@ def summary(s):
         ) / (1.0 - w2)
         stderr = math.sqrt(var * w2)
     return mean, var, stderr, n
-
-
-def silverman_bandwidth(s):
-    _, var, _, n = summary(s)
-    return 1.06 * math.sqrt(var) * n ** (-0.2)
-
-
-def kde(s, grid):
-    """Gaussian kernel density on the grid, Silverman bandwidth.
-
-    A zero-variance sample gets a delta-like narrow kernel instead,
-    with a warning; needs n >= 10.
-    """
-    n = len(s)
-    if n < 10:
-        raise ValueError("need at least 10 samples for a density estimate")
-    grid = np.asarray(grid, dtype=float)
-    h = silverman_bandwidth(s)
-    if h == 0.0:
-        span = grid.max() - grid.min() if len(grid) > 1 else 1.0
-        h = max(span, 1.0) * 1e-6
-        warnings.warn("degenerate sample: using a delta-like kernel", stacklevel=2)
-    w = s.weights if s.weights is not None else np.full(n, 1.0 / n)
-    density = np.zeros_like(grid)
-    norm = 1.0 / (h * math.sqrt(2 * math.pi))
-    for start in range(0, n, 4096):
-        x = s.values[start:start + 4096]
-        wi = w[start:start + 4096]
-        z = (grid[:, None] - x[None, :]) / h
-        density += (np.exp(-0.5 * z * z) * wi[None, :]).sum(axis=1)
-    return norm * density
 
 
 def ecdf(s):

@@ -226,46 +226,65 @@ def test_sample_distribution_statistics():
     assert abs(samples.var() - v) / v < 0.03
 
 
-def test_scenario_law_json():
-    model = noise.ou_noise(0.2, 0.1)
-    wrapped = laws.ScenarioLaw(series=laws.pauli_law(0.5), s0=0.5, model=model)
-    doc = wrapped.to_json()
-    assert doc["s0"] == 0.5
-    assert doc["model"]["kind"] == model.kind
-    assert doc["harmonics"] == [[0, 0.625], [2, 0.375]]
+def random_state(rng, d):
+    psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return psi / np.linalg.norm(psi)
 
 
-def test_diagonalized_solve_pauli_recipe():
-    """The printed 3x3 system must reproduce the pauli law pointwise."""
-    g2 = 1.0  # the gamma^2 scale cancels in the Delta X parameterization
-    for s0 in (0.0, 0.4, 0.9):
-        A = g2 * np.array([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, -2.0]])
-        B = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 1.0], [2.0, -2.0, 0.0]])
-        a = np.zeros(3)
-        b = np.zeros(3)
-        V0 = np.array([1.0, s0 * s0, 0.0])
-        sol = laws.diagonalized_solve(A, B, a, b, V0)
-        law = laws.pauli_law(s0)
-        got = sol(GRID)[0]
-        assert np.max(np.abs(got - law.evaluate(GRID))) < 1e-12
+def test_spectral_law_against_matrix_exponential():
+    """F(d) = |<phi| exp(-iSd) |phi>|^2 for random Hermitian S, 1-4 qubits."""
+    rng = np.random.default_rng(17)
+    deltas = np.linspace(-3.0, 6.0, 37)
+    for n_qubits in (1, 2, 3, 4):
+        d = 2**n_qubits
+        for degenerate in (False, True):
+            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            S = a + a.conj().T
+            if degenerate:  # repeated eigenvalues exercise the merge
+                u = np.linalg.qr(a)[0]
+                S = u @ np.diag(rng.integers(-2, 3, d).astype(float)) @ u.conj().T
+            phi = random_state(rng, d)
+            law = laws.spectral_law(S, phi)
+            want = fidelity_by_exponential(S, phi, deltas)
+            assert np.max(np.abs(law.evaluate(deltas) - want)) < 1e-11
+            assert law.evaluate(0.0) == pytest.approx(1.0, abs=1e-13)
+            assert all(m >= 0 for m, _ in law.terms)
 
 
-def test_diagonalized_solve_projection_recipe():
-    for q in (0.25, 0.5, 0.8):
-        g2 = 0.7
-        A = -(g2 / 2) * np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        B = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
-        a = g2 * q * q * np.array([1.0, 1.0, 0.0])
-        b = q * q * np.array([0.0, 0.0, -2.0])
-        V0 = np.array([1.0, 2 * q, 0.0])
-        sol = laws.diagonalized_solve(A, B, a, b, V0)
-        law = laws.projection_law(math.sqrt(q))
-        got = sol(GRID)[0]
-        assert np.max(np.abs(got - law.evaluate(GRID))) < 1e-12
+def test_spectral_law_matches_closed_forms():
+    rng = np.random.default_rng(23)
+    X, P, I = qstate.SIGMA_X, qstate.PROJ_1, np.eye(2)
+    S3 = qstate.build_operator(("sum", ("tensor", "P1", "I", "I"),
+                                ("tensor", "I", "X", "I"), ("tensor", "I", "I", "X")))
+
+    def gap(a, b):
+        return np.max(np.abs(a.evaluate(GRID) - b.evaluate(GRID)))
+
+    for _ in range(40):
+        phi = random_state(rng, 2)
+        s0 = qstate.expect_value(X, phi).real
+        assert gap(laws.spectral_law(X, phi), laws.pauli_law(s0)) < 1e-13
+        q = qstate.expect_value(P, phi).real
+        assert gap(laws.spectral_law(P, phi), laws.projection_law(math.sqrt(q))) < 1e-13
+        phi = random_state(rng, 4)
+        for Q, klass in ((X, "pauli"), (P, "projection")):
+            S = np.kron(Q, I) + np.kron(I, Q)
+            s0 = qstate.expect_value(S, phi).real
+            r0 = qstate.expect_value(np.kron(Q, Q), phi).real
+            assert gap(laws.spectral_law(S, phi), laws.two_qubit_law(s0, r0, klass)) < 1e-13
+        # three-qubit product state: per-qubit laws multiply pathwise
+        qubits = [random_state(rng, 2) for _ in range(3)]
+        phi = np.kron(np.kron(qubits[0], qubits[1]), qubits[2])
+        singles = [laws.projection_law(math.sqrt(qstate.expect_value(P, qubits[0]).real))]
+        singles += [laws.pauli_law(qstate.expect_value(X, b).real) for b in qubits[1:]]
+        assert gap(laws.spectral_law(S3, phi), laws.product_law(singles)) < 1e-13
 
 
-def test_diagonalized_solve_rejects_defective_generator():
-    A = np.zeros((2, 2))
-    B = np.array([[0.0, 1.0], [0.0, 0.0]])  # nilpotent, not diagonalizable
-    with pytest.raises(laws.DiagonalizationError):
-        laws.diagonalized_solve(A, B, np.zeros(2), np.zeros(2), np.array([1.0, 0.0]))
+def test_spectral_law_merges_integer_gaps():
+    # fig7a: |00> under X (x) I + I (x) X has eigenvalues -2, 0, 0, 2
+    S = qstate.build_operator(("sum", ("tensor", "X", "I"), ("tensor", "I", "X")))
+    law = laws.spectral_law(S, np.array([1, 0, 0, 0], dtype=complex))
+    assert [m for m, _ in law.terms] == [0, 2, 4]
+    want = laws.two_qubit_law(0.0, 0.0, "pauli")
+    assert np.allclose([c for _, c in law.terms], [c for _, c in want.terms],
+                       rtol=0, atol=1e-15)

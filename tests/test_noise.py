@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sselab import noise
+from sselab import noise, qstate, sde
 
 
 def gaussian_power_moment(mu, sigma, m):
@@ -172,40 +172,37 @@ def test_draw_initial():
         noise.NoiseModel(kind=noise.OU, gamma=0.2, k=0.0, init=noise.STATIONARY)
 
 
+def noise_paths(model, T, dt, n, seed=0):
+    """The noise paths the SDE integrator samples next to the state."""
+    cfg = sde.SimConfig(dt=dt, T=T, n_paths=n, master_seed=seed,
+                        record_every=int(round(T / dt)))
+    return sde.simulate_paths(np.zeros((2, 2)), qstate.SIGMA_X, model,
+                              np.array([1, 0], dtype=complex), cfg)
+
+
 def test_sample_path_moments():
-    """Exact one-step sampling must reproduce the transition mean/variance."""
+    """Sampled OU paths must reproduce the transition mean/variance."""
     g, k, T, dt = 0.3, 0.8, 2.0, 0.01
-    model = noise.ou_noise(g, k)
     n = 4000
-    finals = np.empty(n)
-    for i in range(n):
-        p = noise.sample_path(model, T, dt, np.random.default_rng(1000 + i))
-        finals[i] = p.values[-1]
+    res = noise_paths(noise.ou_noise(g, k), T, dt, n, seed=1000)
+    finals = res.terminal_x
     var_exact = g * g / (2 * k) * (1 - math.exp(-2 * k * T))
     assert abs(finals.mean()) < 4 * math.sqrt(var_exact / n)
     assert abs(finals.var() - var_exact) / var_exact < 0.1
-    p = noise.sample_path(model, T, dt, np.random.default_rng(0))
-    assert p.times[0] == 0.0
-    assert p.times[-1] == pytest.approx(T)
-    assert p.values[0] == 0.0
-    assert len(p.times) == len(p.values) == int(round(T / dt)) + 1
+    assert res.times[0] == 0.0
+    assert res.times[-1] == pytest.approx(T)
+    assert np.all(res.initial_x == 0.0)
 
 
 def test_sample_path_stationary_start():
     model = noise.ou_noise(0.4, 0.6, init=noise.STATIONARY)
-    starts = np.array([
-        noise.sample_path(model, 0.1, 0.05, np.random.default_rng(i)).values[0]
-        for i in range(8000)
-    ])
+    res = noise_paths(model, 0.1, 0.05, 8000)
     sd = 0.4 / math.sqrt(2 * 0.6)
-    assert abs(starts.std() - sd) / sd < 0.03
+    assert abs(res.initial_x.std() - sd) / sd < 0.03
+    assert abs(res.terminal_x.std() - sd) / sd < 0.03
 
 
 def test_white_noise_path_is_brownian():
-    g, T, dt = 0.5, 1.0, 0.001
-    model = noise.white_noise(g)
-    finals = np.array([
-        noise.sample_path(model, T, dt, np.random.default_rng(i)).values[-1]
-        for i in range(3000)
-    ])
+    g, T, dt = 0.5, 1.0, 0.01
+    finals = noise_paths(noise.white_noise(g), T, dt, 3000).terminal_x
     assert abs(finals.var() - g * g * T) / (g * g * T) < 0.1

@@ -17,16 +17,7 @@ def test_pauli_algebra():
 def test_proj_is_idempotent():
     P = qstate.PROJ_1
     assert np.allclose(P @ P, P)
-    assert qstate.is_hermitian(P)
-
-
-def test_is_hermitian():
-    assert qstate.is_hermitian(qstate.SIGMA_Y)
-    assert not qstate.is_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
-    # tolerance is adjustable
-    almost = qstate.SIGMA_X + 1e-9 * np.array([[0, 1j], [0, 0]])
-    assert not qstate.is_hermitian(almost)
-    assert qstate.is_hermitian(almost, tol=1e-8)
+    assert np.allclose(P, P.conj().T)
 
 
 def test_as_state_normalization_guard():
@@ -48,7 +39,8 @@ def test_control_hamiltonian_matrix():
     h = qstate.control_hamiltonian(0.5, np.pi / 2, 0.0)
     expected = 0.5 * np.array([[0, 1j], [-1j, 0]])
     assert np.allclose(h, expected)
-    assert qstate.is_hermitian(qstate.control_hamiltonian(0.3, 1.1, -0.7))
+    h = qstate.control_hamiltonian(0.3, 1.1, -0.7)
+    assert np.allclose(h, h.conj().T)
 
 
 def test_build_operator_names_and_compositions():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sselab import noise, qstate, scenario
+from sselab import laws, noise, qstate, scenario
 
 
 def minimal_cfg(**over):
@@ -36,9 +36,7 @@ def test_resolve_minimal():
     assert scn.label == "unit"
     assert scn.model.kind == noise.WHITE
     assert scn.sim.n_paths == 20
-    S, extra = scn.noise_operator()
-    assert np.allclose(S, qstate.SIGMA_X)
-    assert extra is None
+    assert np.allclose(scn.noise_operator(), qstate.SIGMA_X)
     assert np.allclose(scn.hamiltonian(), np.zeros((2, 2)))
 
 
@@ -113,21 +111,25 @@ def test_scenario_law_wrapping():
     law = scenario.scenario_law(scn)
     assert law.s0 == pytest.approx(0.0)  # <X> = 0 for |0>
     assert law.series.evaluate(0.0) == pytest.approx(1.0)
-    # twoqubit law carries r0 as well
+    # GHZ under X (x) I + I (x) X: the closed form with r0 = <X (x) X> = 1
     cfg = minimal_cfg(scenario={"kind": "twoqubit", "state": "ghz",
                                 "base_op": "X"})
     del cfg["scenario"]["noise_op"]
-    law2 = scenario.scenario_law(scenario.resolve(cfg))
-    assert law2.r0 == pytest.approx(1.0)
+    scn2 = scenario.resolve(cfg)
+    assert np.allclose(scn2.noise_operator(),
+                       np.kron(qstate.SIGMA_X, np.eye(2)) + np.kron(np.eye(2), qstate.SIGMA_X))
+    law2 = scenario.scenario_law(scn2)
     assert law2.s0 == pytest.approx(0.0)
+    want = laws.two_qubit_law(0.0, 1.0, "pauli")
+    grid = np.linspace(0.0, 2 * np.pi, 257)
+    assert np.max(np.abs(law2.series.evaluate(grid) - want.evaluate(grid))) < 1e-13
 
 
 def test_preset_scenarios_resolve():
-    for name in ("fig3", "fig4", "fig5", "fig6", "fig7a", "fig7b"):
-        scn = scenario.preset_scenario(name)
+    assert sorted(scenario.PRESETS) == ["fig3", "fig4", "fig5", "fig6", "fig7a", "fig7b"]
+    for name, cfg in scenario.PRESETS.items():
+        scn = scenario.resolve({s: dict(e) for s, e in cfg.items()}, label=name)
         assert scn.label == name
-    with pytest.raises(scenario.ConfigError):
-        scenario.preset_scenario("fig99")
 
 
 def test_analytic_series_pauli():

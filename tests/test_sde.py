@@ -238,6 +238,19 @@ def test_simulate_paths_determinism():
     assert not np.array_equal(r1.fidelities, other.fidelities)
 
 
+@pytest.mark.parametrize("cap", [1, 6 * 37, 6 * 700])
+def test_normals_block_cap_keeps_output(monkeypatch, cap):
+    # blocks of 1, 37 and 250 (all) steps draw the same normals per path
+    model = noise.ou_noise(0.3, 0.5, init=noise.STATIONARY)
+    cfg = sde.SimConfig(dt=2e-3, T=0.5, n_paths=6, master_seed=5, record_every=25)
+    ref = sde.simulate_paths(ZERO_H, qstate.SIGMA_X, model, KET0, cfg)
+    monkeypatch.setattr(sde, "BLOCK_NORMALS", cap)
+    got = sde.simulate_paths(ZERO_H, qstate.SIGMA_X, model, KET0, cfg)
+    assert np.array_equal(got.fidelities, ref.fidelities)
+    assert np.array_equal(got.initial_x, ref.initial_x)
+    assert np.array_equal(got.terminal_x, ref.terminal_x)
+
+
 def test_simulate_paths_abort_budget():
     # absurd step size blows up nearly every path; the run must refuse
     model = noise.white_noise(3.0)

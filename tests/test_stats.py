@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -52,49 +51,6 @@ def test_summary_permutation_invariance():
     b = stats.summary(stats.SampleSet(x[::-1].copy()))
     c = stats.summary(stats.SampleSet(rng.permutation(x)))
     assert a == b == c
-
-
-def test_silverman_bandwidth_scaling():
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(1000)
-    h1 = stats.silverman_bandwidth(stats.SampleSet(x))
-    h2 = stats.silverman_bandwidth(stats.SampleSet(3.0 * x))
-    assert h2 == pytest.approx(3.0 * h1, rel=1e-12)
-    # explicit reference value: 1.06 sigma n^(-1/5)
-    sd = math.sqrt(np.var(x, ddof=1))
-    assert h1 == pytest.approx(1.06 * sd * 1000 ** (-0.2), rel=1e-12)
-
-
-def test_kde_integrates_to_one():
-    rng = np.random.default_rng(1)
-    x = rng.normal(0.5, 0.1, size=5000)
-    grid = np.linspace(-0.5, 1.5, 2001)
-    dens = stats.kde(stats.SampleSet(x), grid)
-    mass = np.trapezoid(dens, grid)
-    assert abs(mass - 1.0) < 0.02
-    # density peaks near the true mode
-    assert abs(grid[np.argmax(dens)] - 0.5) < 0.05
-
-
-def test_kde_matches_gaussian_reference():
-    # KDE of many standard normal samples approximates the normal pdf
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal(20000)
-    grid = np.linspace(-3, 3, 601)
-    dens = stats.kde(stats.SampleSet(x), grid)
-    ref = np.exp(-grid * grid / 2) / math.sqrt(2 * math.pi)
-    assert np.max(np.abs(dens - ref)) < 0.03
-
-
-def test_kde_guards():
-    grid = np.linspace(0, 1, 11)
-    with pytest.raises(ValueError):
-        stats.kde(stats.SampleSet(np.arange(5.0)), grid)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        dens = stats.kde(stats.SampleSet(np.full(100, 0.5)), grid)
-    assert len(caught) == 1
-    assert np.all(np.isfinite(dens))
 
 
 def test_ecdf():
