@@ -4,6 +4,8 @@
     sselab presets
 
 Exit codes: 0 success, 1 config error, 2 run failure or --check breach.
+Every run records its check outcome in run.json; --check turns a breach
+into exit code 2.
 Results depend only on the config and the seed: each Monte-Carlo path
 draws from its own random stream.
 """
@@ -72,9 +74,8 @@ def cmd_run(args):
     if n_ab:
         print(f"note: {n_ab} path(s) aborted and were excluded", file=sys.stderr)
     if args.check:
-        failures = scenario_mod.check_run(result)
-        if failures:
-            for f in failures:
+        if result.check_failures:
+            for f in result.check_failures:
                 print(f"check failed: {f}", file=sys.stderr)
             return 2
         print("checks passed")

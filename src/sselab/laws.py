@@ -23,6 +23,10 @@ import numpy as np
 from . import noise as noise_mod
 
 
+# Relative size below which a spectral-law weight is round-off, not signal.
+WEIGHT_FLOOR = 1e-15
+
+
 class LawRangeError(ValueError):
     """Raised when a candidate law leaves [0,1] on the validation grid."""
 
@@ -71,7 +75,9 @@ def spectral_law(S, phi0):
 
     F = sum_{j,l} p_j p_l cos((s_j - s_l) Delta X); the pairwise weights
     are merged by their gap rounded to 12 decimals, so eigenvalues equal
-    up to round-off share one term.
+    up to round-off share one term, and a merged weight below WEIGHT_FLOOR
+    times the largest is round-off from eigenvectors the state does not
+    touch, so its term is dropped.
     """
     s, v = np.linalg.eigh(S)
     p = np.abs(v.conj().T @ phi0) ** 2
@@ -80,7 +86,8 @@ def spectral_law(S, phi0):
     coeffs = {}
     for gap, w in zip(gaps.ravel().tolist(), np.outer(p, p).ravel().tolist()):
         coeffs[gap] = coeffs.get(gap, 0.0) + w
-    return _make_series(coeffs)
+    floor = WEIGHT_FLOOR * max(coeffs.values())
+    return _make_series({gap: w for gap, w in coeffs.items() if w >= floor})
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,8 @@ which S they accept and in what they compute from the law.
 Configs are flat string sections (the CLI reads them from INI files);
 presets are the same shape, one per reference figure.  Running a
 scenario writes summary.csv, optional distribution/closure CSVs, and
-run.json: what reproduces the run, and the run's path and
-approximation diagnostics.
+run.json: what reproduces the run, the run's path and approximation
+diagnostics, and the outcome of `check_run`.
 """
 
 import json
@@ -355,7 +355,8 @@ class RunResult:
     analytic_var: np.ndarray
     slice_samples: dict       # t -> (mc samples, law samples)
     closure: dict             # {} or {"times", "first", "second", "exact"}
-    files: tuple
+    check_failures: tuple = ()  # check_run's failures, also in run.json
+    files: tuple = ()
 
 
 def _law_sample_stream(seed, idx):
@@ -364,7 +365,7 @@ def _law_sample_stream(seed, idx):
 
 
 def run_scenario(scn):
-    """Simulate, attach analytics, and write all artifacts (one writer)."""
+    """Simulate, attach analytics, check them, and write all artifacts (one writer)."""
     H = scn.hamiltonian()
     s_op = scn.noise_operator()
     sim_result = sde_mod.simulate_paths(H, s_op, scn.model, scn.state, scn.sim)
@@ -411,16 +412,17 @@ def run_scenario(scn):
         diagnostics["closure_imag_residue"] = {
             "first_order": first.imag_residue, "second_order": second.imag_residue}
 
-    files = _write_artifacts(scn, sim_result, mean, var, slice_samples, closure, diagnostics)
-    return RunResult(
+    result = RunResult(
         scenario=scn,
         sim=sim_result,
         analytic_mean=mean,
         analytic_var=var,
         slice_samples=slice_samples,
         closure=closure,
-        files=files,
     )
+    result.check_failures = tuple(check_run(result))
+    result.files = _write_artifacts(result, diagnostics)
+    return result
 
 
 def _slot_for(scn, t):
@@ -437,7 +439,9 @@ def _fmt(x):
     return repr(float(x))
 
 
-def _write_artifacts(scn, sim_result, mean, var, slice_samples, closure, diagnostics):
+def _write_artifacts(result, diagnostics):
+    scn, sim_result = result.scenario, result.sim
+    mean, var = result.analytic_mean, result.analytic_var
     os.makedirs(scn.out_dir, exist_ok=True)
     files = []
 
@@ -457,7 +461,7 @@ def _write_artifacts(scn, sim_result, mean, var, slice_samples, closure, diagnos
             )
     files.append(path)
 
-    for t, (mc, law) in sorted(slice_samples.items()):
+    for t, (mc, law) in sorted(result.slice_samples.items()):
         path = os.path.join(scn.out_dir, f"distribution_t{t:g}.csv")
         with open(path, "w") as fh:
             fh.write("mc_F,law_F\n")
@@ -465,6 +469,7 @@ def _write_artifacts(scn, sim_result, mean, var, slice_samples, closure, diagnos
                 fh.write(f"{_fmt(a)},{_fmt(b)}\n")
         files.append(path)
 
+    closure = result.closure
     if closure:
         path = os.path.join(scn.out_dir, "closure.csv")
         with open(path, "w") as fh:
@@ -495,6 +500,10 @@ def _write_artifacts(scn, sim_result, mean, var, slice_samples, closure, diagnos
             "max_norm_drift": sim_result.max_norm_drift,
             "max_range_violation": sim_result.max_range_violation,
             **diagnostics,
+        },
+        "check": {
+            "passed": not result.check_failures,
+            "failures": list(result.check_failures),
         },
         "versions": {
             "python": sys.version.split()[0],

@@ -14,6 +14,15 @@ of rows [Re psi; Im psi]: a step is one real matmul and a weighted sum
 over the monomials.  This module is the independent check on every
 closed-form law in the package: it never consults them.
 
+The step loop keeps only what reads psi.  X obeys x' = ax x + an N and
+never reads psi, so the run goes in chunks of CHUNK_VALUES path-steps:
+each chunk first computes its X path and monomial weights, then steps
+psi and stores every step's norms, then runs the abort test (non-finite
+or > ABORT_NORM norm, non-finite X) and the norm drift as vectorised
+passes over those norms.  A path that dies inside a chunk runs on to the
+chunk's end, silently, and its rows are dropped.  The noiseless targets
+at all recorded times come from one eigendecomposition of H.
+
 Reproducibility: path i draws from its own Philox(master_seed, i)
 stream, in a fixed order (initial noise value first, then one normal
 per step), so the output depends only on the config and the seed.
@@ -42,6 +51,9 @@ TIME_BLOCK = 2048
 # Philox stream yields the same sequence in any block length, so the
 # output does not depend on this.
 BLOCK_NORMALS = 2**20
+# Path-steps per chunk of the step loop (see above); a chunk's weights take
+# 48 bytes per path-step, about 400 KB.  The output does not depend on it.
+CHUNK_VALUES = 2**13
 
 
 class PathAbortError(RuntimeError):
@@ -152,22 +164,34 @@ def _step_map(H, S, model, scheme, dt):
             0.5 * h * c * q * EB + 0.5 * h * BB,
         )
         lin = (1.0 - 0.5 * k * h * (1 + p), q * (1.0 - 0.5 * k * h))
-    R = np.vstack([np.block([[m.real, -m.imag], [m.imag, m.real]]) for m in mats])
-    return R, lin
+    M = np.array(mats)
+    R = np.concatenate([np.concatenate([M.real, -M.imag], axis=2),
+                        np.concatenate([M.imag, M.real], axis=2)], axis=1)
+    return R.reshape(-1, 2 * len(H)), lin
 
 
-def _apply_map(R, psi, w, x, N, renormalize):
+def _weights(x, N, terms):
+    """Monomial weights (1, x, N, x^2, xN, N^2)[:terms], stacked on axis -2.
+
+    For (steps, paths) arrays of noise values x and normals N this is a
+    (steps, terms, paths) array, so each step's weights are contiguous.
+    """
+    w = [np.ones_like(x), x, N]
+    if terms == 6:
+        w += [x * x, x * N, N * N]
+    return np.stack(w, axis=-2)
+
+
+def _apply_map(R, psi, w, renormalize, norms=None):
     """(psi', norms before renormalizing) for a real-layout (2d, paths) block.
 
-    w is (terms, paths) scratch for the monomial weights; its row 0 holds ones.
+    w is the step's (terms, paths) monomial weights; `norms` may name a
+    (paths,) array to write the norms into.
     """
-    w[1], w[2] = x, N
-    if len(w) == 6:
-        w[3], w[4], w[5] = x * x, x * N, N * N
     out = np.einsum("mjp,mp->jp", (R @ psi).reshape(len(w), *psi.shape), w)
-    norms = np.sqrt(np.einsum("ij,ij->j", out, out))
+    norms = np.sqrt(np.einsum("ij,ij->j", out, out), out=norms)
     if renormalize:
-        out /= np.where(norms > 0, norms, 1.0)
+        np.divide(out, norms, out=out, where=norms > 0)
     return out, norms
 
 
@@ -186,18 +210,22 @@ def step(Y, H, S, model, config, stream, normal=None):
     H, S = _check_ops(H, S, d)
     N = float(stream.standard_normal()) if normal is None else float(normal)
     R, (ax, an) = _step_map(H, S, model, config.scheme, config.dt)
-    w = np.ones((len(R) // (2 * d), 1))
-    psi1, norms = _apply_map(R, _real(psi)[:, None], w, float(Y.x), N, config.renormalize)
+    w = _weights(np.array([float(Y.x)]), np.array([N]), len(R) // (2 * d))
+    psi1, norms = _apply_map(R, _real(psi)[:, None], w, config.renormalize)
     if not np.all(np.isfinite(psi1)) or norms[0] > ABORT_NORM:
         raise PathAbortError(f"path aborted: norm {norms[0]:.4g}")
     return JointState(psi=psi1[:d, 0] + 1j * psi1[d:, 0], x=ax * float(Y.x) + an * N)
 
 
-def target_evolution(H, phi0, t):
-    """Noiseless target phi_t = exp(-iHt) phi0."""
-    H = np.asarray(H, dtype=complex)
-    phi0 = qstate.as_state(phi0)
-    return qstate.mat_exp(-1j * t * H) @ phi0
+def target_evolution(H, phi0, times):
+    """Noiseless targets phi_t = exp(-iHt) phi0 at every t of `times`.
+
+    One eigendecomposition H = V diag(e) V' serves all times:
+    phi_t = V (exp(-i e t) * V' phi0).  Returns shape times.shape + (d,).
+    """
+    e, v = np.linalg.eigh(np.asarray(H, dtype=complex))
+    c = v.conj().T @ qstate.as_state(phi0)
+    return (np.exp(-1j * np.multiply.outer(np.asarray(times, dtype=float), e)) * c) @ v.T
 
 
 def _resolve_workers(config):
@@ -226,18 +254,18 @@ def simulate_paths(H, S, model, phi0, config):
     times = np.arange(n_rec) * (config.dt * rec_every)
 
     # <phi|psi> in real layout: rows [Re phi, Im phi] and [-Im phi, Re phi]
-    targets = np.empty((n_rec, 2, 2 * d))
-    for i, t in enumerate(times):
-        phi = target_evolution(H, phi0, t)
-        targets[i] = [_real(phi), np.concatenate([-phi.imag, phi.real])]
+    phis = target_evolution(H, phi0, times)
+    targets = np.stack([np.concatenate([phis.real, phis.imag], axis=1),
+                        np.concatenate([-phis.imag, phis.real], axis=1)], axis=1)
     R, (ax, an) = _step_map(H, S, model, config.scheme, config.dt)
+    terms = len(R) // (2 * d)
 
     n_paths = config.n_paths
     fids = np.empty((n_paths, n_rec))
     states = np.empty((n_paths, n_rec, 2 * d)) if config.keep_states else None
     xs = np.empty((n_paths, n_rec)) if config.keep_states else None
     abort_step = np.full(n_paths, -1, dtype=np.int64)
-    drift = np.zeros(n_paths)
+    drift = 0.0
 
     seed = config.master_seed & (2**64 - 1)
     gens = [
@@ -248,9 +276,8 @@ def simulate_paths(H, S, model, phi0, config):
     x = x0s.copy()
     psi = np.repeat(_real(phi0)[:, None], n_paths, axis=1)
     alive = np.ones(n_paths, dtype=bool)
-    w = np.ones((len(R) // (2 * d), n_paths))
 
-    def record(slot):
+    def record(slot, x):
         # rows of aborted paths are recorded too, and dropped at the end
         ov = targets[slot] @ psi
         fids[:, slot] = ov[0] ** 2 + ov[1] ** 2
@@ -258,28 +285,46 @@ def simulate_paths(H, S, model, phi0, config):
             states[:, slot] = psi.T
             xs[:, slot] = x
 
-    record(0)
+    record(0, x)
     block = min(TIME_BLOCK, max(1, BLOCK_NORMALS // n_paths))
+    chunk = max(1, CHUNK_VALUES // n_paths)
     step_no = 0
-    while step_no < n_steps:
-        tb = min(block, n_steps - step_no)
-        normals = np.empty((n_paths, tb))
-        for j, gen in enumerate(gens):
-            normals[j] = gen.standard_normal(tb)
-        for s in range(tb):
-            N = normals[:, s]
-            psi, norms = _apply_map(R, psi, w, x, N, config.renormalize)
-            x = ax * x + an * N
-            step_no += 1
-            bad = alive & (~np.isfinite(norms) | (norms > ABORT_NORM) | ~np.isfinite(x))
-            if bad.any():
-                abort_step[bad] = step_no
-                alive &= ~bad
-                psi[:, bad] = 0.0
-                x[bad] = 0.0
-            np.maximum(drift, np.where(alive, np.abs(norms - 1.0), 0.0), out=drift)
-            if step_no % rec_every == 0:
-                record(step_no // rec_every)
+    # A path that dies inside a chunk runs on to the chunk's end and may
+    # overflow there; its rows are dropped, so that stays silent.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while step_no < n_steps:
+            tb = min(block, n_steps - step_no)
+            normals = np.empty((n_paths, tb))
+            for j, gen in enumerate(gens):
+                normals[j] = gen.standard_normal(tb)
+            for c0 in range(0, tb, chunk):
+                # the noise path and the weights never read psi
+                N = normals[:, c0:c0 + chunk].T
+                nc = len(N)
+                xp = np.empty((nc + 1, n_paths))
+                xp[0] = x
+                aN = an * N
+                for s in range(nc):
+                    xp[s + 1] = ax * xp[s] + aN[s]
+                w = _weights(xp[:-1], N, terms)
+                norms = np.empty((nc, n_paths))
+                for s in range(nc):
+                    psi, _ = _apply_map(R, psi, w[s], config.renormalize, norms[s])
+                    if (step_no + s + 1) % rec_every == 0:
+                        record((step_no + s + 1) // rec_every, xp[s + 1])
+                # a path dies at its first bad step; that step and later
+                # ones count for no drift
+                bad = (~np.isfinite(norms) | (norms > ABORT_NORM) | ~np.isfinite(xp[1:])) & alive
+                first = np.where(bad.any(axis=0), bad.argmax(axis=0), nc)
+                live = (np.arange(nc)[:, None] < first) & alive
+                drift = max(drift, float(np.where(live, np.abs(norms - 1.0), 0.0).max()))
+                dead = first < nc
+                abort_step[dead] = step_no + first[dead] + 1
+                alive &= ~dead
+                psi[:, dead] = 0.0
+                x = xp[-1]
+                x[dead] = 0.0
+                step_no += nc
 
     aborted = tuple((int(i), int(abort_step[i])) for i in np.flatnonzero(~alive))
     if len(aborted) > MAX_ABORT_FRACTION * n_paths:
@@ -325,6 +370,6 @@ def simulate_paths(H, S, model, phi0, config):
         xs=None if xs is None else xs[rows],
         summary=summary,
         aborted=aborted,
-        max_norm_drift=float(drift.max(initial=0.0)),
+        max_norm_drift=drift,
         max_range_violation=violation,
     )

@@ -143,6 +143,32 @@ def test_check_passes_on_healthy_run(tmp_path, capsys):
     assert "checks passed" in capsys.readouterr().out
 
 
+def test_run_json_records_check_outcome(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, out=tmp_path / "ok")
+    blobs = []
+    for _ in range(2):
+        assert cli.main(["run", cfg, "--paths", "300"]) == 0
+        blobs.append((tmp_path / "ok" / "run.json").read_bytes())
+    assert blobs[0] == blobs[1]
+    assert json.loads(blobs[0])["check"] == {"passed": True, "failures": []}
+    # a breach is recorded with or without --check; --check turns the
+    # recorded outcome into exit code 2 without checking a second time
+    calls = []
+
+    def breach(result):
+        calls.append(result)
+        return ["mean off by 9 stderr"]
+
+    monkeypatch.setattr(scenario, "check_run", breach)
+    for flags, code in (([], 0), (["--check"], 2)):
+        out = tmp_path / f"breach{len(flags)}"
+        assert cli.main(["run", cfg, "--out", str(out), *flags]) == code
+        doc = json.loads((out / "run.json").read_text())
+        assert doc["check"] == {"passed": False, "failures": ["mean off by 9 stderr"]}
+    assert len(calls) == 2
+    assert "check failed: mean off by 9 stderr" in capsys.readouterr().err
+
+
 def test_thread_count_does_not_change_output(tmp_path, monkeypatch):
     blobs = {}
     for threads in ("1", "4", "8"):

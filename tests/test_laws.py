@@ -280,6 +280,18 @@ def test_spectral_law_matches_closed_forms():
         assert gap(laws.spectral_law(S3, phi), laws.product_law(singles)) < 1e-13
 
 
+def test_spectral_law_drops_round_off_weights():
+    # GHZ under X (x) I + I (x) X: the pairs at gap 2 carry only round-off
+    S = qstate.build_operator(("sum", ("tensor", "X", "I"), ("tensor", "I", "X")))
+    ghz = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
+    law = laws.spectral_law(S, ghz)
+    want = laws.two_qubit_law(0.0, 1.0, "pauli")
+    assert [m for m, _ in law.terms] == [m for m, _ in want.terms] == [0, 4]
+    assert np.allclose([c for _, c in law.terms], [c for _, c in want.terms],
+                       rtol=0, atol=1e-15)
+    assert abs(law.evaluate(0.0) - 1.0) <= 1e-15
+
+
 def test_spectral_law_merges_integer_gaps():
     # fig7a: |00> under X (x) I + I (x) X has eigenvalues -2, 0, 0, 2
     S = qstate.build_operator(("sum", ("tensor", "X", "I"), ("tensor", "I", "X")))

@@ -186,10 +186,20 @@ def test_deterministic_heun_order_two():
 
 def test_target_evolution():
     H = 0.5 * qstate.SIGMA_Z
-    t = 1.1
-    got = sde.target_evolution(H, KET0, t)
-    assert abs(got[0] - np.exp(-0.5j * t)) < 1e-14
-    assert got[1] == 0.0
+    times = np.array([0.0, 1.1, 7.3])
+    got = sde.target_evolution(H, KET0, times)
+    assert got.shape == (3, 2)
+    assert np.max(np.abs(got[:, 0] - np.exp(-0.5j * times))) < 1e-14
+    assert np.all(got[:, 1] == 0.0)
+    # one eigh against one matrix exponential per time, at d=4
+    rng = np.random.default_rng(3)
+    H = _random_hermitian(rng, 4)
+    phi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    phi /= np.linalg.norm(phi)
+    times = np.linspace(0.0, 5.0, 11)
+    got = sde.target_evolution(H, phi, times)
+    for t, g in zip(times, got):
+        assert np.max(np.abs(g - qstate.mat_exp(-1j * t * H) @ phi)) < 1e-13
 
 
 def test_simulate_paths_pathwise_law_identity():
@@ -240,17 +250,30 @@ def test_simulate_paths_determinism():
 
 @pytest.mark.parametrize("cap", [1, 6 * 37, 6 * 700])
 def test_normals_block_cap_keeps_output(monkeypatch, cap):
-    # blocks of 1, 37 and 250 (all) steps draw the same normals per path
-    model = noise.ou_noise(0.3, 0.5, init=noise.STATIONARY)
-    cfg = sde.SimConfig(dt=2e-3, T=0.5, n_paths=6, master_seed=5, record_every=25)
-    ref = sde.simulate_paths(ZERO_H, qstate.SIGMA_X, model, KET0, cfg)
-    monkeypatch.setattr(sde, "BLOCK_NORMALS", cap)
-    got = sde.simulate_paths(ZERO_H, qstate.SIGMA_X, model, KET0, cfg)
-    assert np.array_equal(got.fidelities, ref.fidelities)
-    assert np.array_equal(got.initial_x, ref.initial_x)
-    assert np.array_equal(got.terminal_x, ref.terminal_x)
+    # blocks of 1, 37 and 250 (all) steps, each run in step chunks of 1 and
+    # 37, draw the same normals per path and give the same output; the
+    # coarse Euler run has aborts at steps 1, 4, 4, 5 and 11
+    ou = (noise.ou_noise(0.3, 0.5, init=noise.STATIONARY),
+          sde.SimConfig(dt=2e-3, T=0.5, n_paths=6, master_seed=5, record_every=25))
+    coarse = (noise.white_noise(1.45),
+              sde.SimConfig(dt=0.05, T=1.0, n_paths=1000, master_seed=3,
+                            scheme=sde.EULER_MARUYAMA))
+    for model, cfg in (ou, coarse):
+        monkeypatch.undo()
+        ref = sde.simulate_paths(ZERO_H, qstate.SIGMA_X, model, KET0, cfg)
+        for chunk in (1, 37):
+            monkeypatch.setattr(sde, "BLOCK_NORMALS", cap * cfg.n_paths // 6)
+            monkeypatch.setattr(sde, "CHUNK_VALUES", chunk * cfg.n_paths)
+            got = sde.simulate_paths(ZERO_H, qstate.SIGMA_X, model, KET0, cfg)
+            assert np.array_equal(got.fidelities, ref.fidelities)
+            assert np.array_equal(got.initial_x, ref.initial_x)
+            assert np.array_equal(got.terminal_x, ref.terminal_x)
+            assert got.max_norm_drift == ref.max_norm_drift
+            assert got.aborted == ref.aborted
+    assert len(ref.aborted) == 5
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_simulate_paths_abort_budget():
     # absurd step size blows up nearly every path; the run must refuse
     model = noise.white_noise(3.0)
@@ -258,6 +281,38 @@ def test_simulate_paths_abort_budget():
                         scheme=sde.EULER_MARUYAMA, renormalize=False)
     with pytest.raises(sde.PathAbortError):
         sde.simulate_paths(ZERO_H, qstate.SIGMA_X, model, KET0, cfg)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_dead_path_overflows_silently():
+    # Stationary OU with sigma = gamma / sqrt(2k) = 4e153: a path whose noise
+    # value passes 1.34e154 overflows X^2 in its first step's weights and
+    # dies there, then runs on to the end of its chunk with inf and nan
+    # entries.  That must stay silent, and the live paths must be as if it
+    # had never been there.
+    model = noise.ou_noise(10.0, 3.1e-306, init=noise.STATIONARY)
+    phi0 = np.array([math.sqrt(1 - 1e-4), 1e-2], dtype=complex)
+    cfg = sde.SimConfig(dt=1e-6, T=2e-5, n_paths=200, master_seed=1,
+                        renormalize=False, record_every=5)
+    assert cfg.n_steps * cfg.n_paths <= sde.CHUNK_VALUES  # one chunk
+    res = sde.simulate_paths(ZERO_H, qstate.PROJ_1, model, phi0, cfg)
+    assert res.aborted == ((16, 1),)
+    drift = 0.0
+    for i in range(cfg.n_paths):
+        stream = np.random.Generator(
+            np.random.Philox(key=np.array([1, i], dtype=np.uint64)))
+        Y = sde.JointState(psi=phi0, x=noise.draw_initial(model, stream))
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                for n in range(1, cfg.n_steps + 1):
+                    Y = sde.step(Y, ZERO_H, qstate.PROJ_1, model, cfg, stream)
+                    drift = max(drift, abs(np.linalg.norm(Y.psi) - 1.0))
+            except sde.PathAbortError:
+                assert (i, n) in res.aborted
+                continue
+        assert i in res.path_indices
+    assert 0 < res.max_norm_drift == pytest.approx(drift, rel=0, abs=1e-15)
+    assert res.summary.n_effective == cfg.n_paths - 1
 
 
 def test_negative_seeds_get_their_own_streams():
