@@ -201,7 +201,9 @@ def series_mean_variance(law, model, t):
     """Exact (mean, variance) of the law at time t under the model.
 
     mean = sum_m c_m E[cos(m Delta X)]; E[F^2] from the self-convolved
-    series; both reduce to Gaussian characteristic-function values.
+    series; both reduce to Gaussian characteristic-function values.  t may
+    be an array of times, which gives arrays of means and variances from
+    one pass per series term; a scalar t gives scalars.
     """
     mean = sum(c * noise_mod.expected_cos(m, model, t) for m, c in law.terms)
     squared = product_two(law, law)

@@ -13,6 +13,8 @@ function gives E[cos(alpha Delta X)] = exp(-alpha^2 v(t) / 2).
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 WHITE = "white"
 OU = "ou"
 CALIBRATED = "calibrated"
@@ -58,10 +60,9 @@ def ou_noise(gamma, k, init=CALIBRATED):
 
 
 def _phi1(z):
-    """(1 - exp(-z)) / z, stable near z = 0 (value 1)."""
-    if z == 0.0:
-        return 1.0
-    return -math.expm1(-z) / z
+    """(1 - exp(-z)) / z for an array z, stable near z = 0 (value 1)."""
+    safe = np.where(z == 0.0, 1.0, z)
+    return np.where(z == 0.0, 1.0, -np.expm1(-safe) / safe)
 
 
 def draw_initial(model, stream):
@@ -77,22 +78,31 @@ def terminal_increment_law(model, t):
     Variance: gamma^2 t for white noise; calibrated OU
     (gamma^2/2k)(1 - e^{-2kt}); stationary OU (gamma^2/k)(1 - e^{-kt}).
     All three are computed through the same stable kernel so the k -> 0
-    limit reproduces the white-noise value to machine precision.
+    limit reproduces the white-noise value to machine precision.  t may be
+    an array of times (the variance is then an array too) or a scalar.
     """
-    if t < 0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise ValueError("t must be non-negative")
     g2 = model.gamma**2
     if model.kind == WHITE:
-        return 0.0, g2 * t
-    if model.init == CALIBRATED:
-        return 0.0, g2 * t * _phi1(2.0 * model.k * t)
-    return 0.0, g2 * t * _phi1(model.k * t)
+        v = g2 * t
+    elif model.init == CALIBRATED:
+        v = g2 * t * _phi1(2.0 * model.k * t)
+    else:
+        v = g2 * t * _phi1(model.k * t)
+    return 0.0, _unwrap(v)
 
 
 def expected_cos(alpha, model, t):
-    """E[cos(alpha Delta X)] = exp(-alpha^2 v(t) / 2)."""
+    """E[cos(alpha Delta X)] = exp(-alpha^2 v(t) / 2), t a scalar or an array."""
     _, v = terminal_increment_law(model, t)
-    return math.exp(-0.5 * alpha * alpha * v)
+    return _unwrap(np.exp(-0.5 * alpha * alpha * np.asarray(v)))
+
+
+def _unwrap(a):
+    """A 0-d array as a float; any other array as it is."""
+    return a if a.ndim else float(a)
 
 
 def _double_factorial_odd(n):

@@ -16,16 +16,18 @@ which S they accept and in what they compute from the law.
 
 Configs are flat string sections (the CLI reads them from INI files);
 presets are the same shape, one per reference figure.  Running a
-scenario writes summary.csv, optional distribution/closure CSVs, and
-run.json: what reproduces the run, the run's path and approximation
-diagnostics, and the outcome of `check_run`.
+scenario writes summary.csv, optional distribution/closure CSVs,
+run.json (what reproduces the run, the run's path and approximation
+diagnostics, and the outcome of `check_run`) and timings.json (the wall
+time of each stage, which differs from run to run).
 """
 
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -91,6 +93,7 @@ class Scenario:
     t_slices: tuple = ()
     scan_T: float = 0.0
     raw: dict = None
+    resolve_s: float = 0.0    # seconds resolve took; goes to timings.json
 
     def hamiltonian(self):
         d = self.state.shape[0]
@@ -134,6 +137,7 @@ def _get(cfg, section, key, default=None):
 
 def resolve(cfg, label="custom"):
     """Turn a {section: {key: value-string}} mapping into a Scenario."""
+    start = time.perf_counter()
     for section, entries in cfg.items():
         if section not in _ALLOWED_KEYS:
             raise ConfigError(f"unknown config section [{section}]")
@@ -203,7 +207,7 @@ def resolve(cfg, label="custom"):
     _validate(scn)
     _check_budget(scn)
     _check_step_map(scn)
-    return scn
+    return replace(scn, resolve_s=time.perf_counter() - start)
 
 
 def _op_class(op):
@@ -339,11 +343,7 @@ def analytic_series(scn, times):
             mean = np.array([a.value for a in approx])
             diagnostics["magnus_out_of_range"] = sum(not a.in_range for a in approx)
         return mean, np.full(times.shape, np.nan), diagnostics
-    law = scenario_law(scn)
-    mean = np.empty(times.shape)
-    var = np.empty(times.shape)
-    for i, t in enumerate(times):
-        mean[i], var[i] = laws_mod.series_mean_variance(law.series, scn.model, t)
+    mean, var = laws_mod.series_mean_variance(scenario_law(scn).series, scn.model, times)
     return mean, var, {}
 
 
@@ -365,10 +365,17 @@ def _law_sample_stream(seed, idx):
 
 
 def run_scenario(scn):
-    """Simulate, attach analytics, check them, and write all artifacts (one writer)."""
+    """Simulate, attach analytics, check them, and write all artifacts (one writer).
+
+    The wall time of each stage goes to timings.json, not run.json, so
+    run.json depends only on the config and the seed.
+    """
+    clock = time.perf_counter
+    marks = [clock()]
     H = scn.hamiltonian()
     s_op = scn.noise_operator()
     sim_result = sde_mod.simulate_paths(H, s_op, scn.model, scn.state, scn.sim)
+    marks.append(clock())
     times = sim_result.times
     mean, var, diagnostics = analytic_series(scn, times)
 
@@ -382,6 +389,7 @@ def run_scenario(scn):
                 law.series, scn.model, t, scn.sim.n_paths, stream
             )
             slice_samples[t] = (sim_result.fidelities[:, slot], law_samples)
+    marks.append(clock())
 
     closure = {}
     if scn.name == "approx-order":
@@ -397,20 +405,15 @@ def run_scenario(scn):
         )
         stride = max(1, int(round(0.05 / approx_mod.DEFAULT_DT)))
         ctimes = first.times[::stride]
-        exact = np.array(
-            [
-                laws_mod.series_mean_variance(law.series, scn.model, t)[0]
-                for t in ctimes
-            ]
-        )
         closure = {
             "times": ctimes,
             "first": first.fidelity[::stride],
             "second": second.fidelity[::stride],
-            "exact": exact,
+            "exact": laws_mod.series_mean_variance(law.series, scn.model, ctimes)[0],
         }
         diagnostics["closure_imag_residue"] = {
             "first_order": first.imag_residue, "second_order": second.imag_residue}
+    marks.append(clock())
 
     result = RunResult(
         scenario=scn,
@@ -421,7 +424,13 @@ def run_scenario(scn):
         closure=closure,
     )
     result.check_failures = tuple(check_run(result))
-    result.files = _write_artifacts(result, diagnostics)
+    marks.append(clock())
+    files = _write_artifacts(result, diagnostics)
+    marks.append(clock())
+    seconds = dict(zip(("simulate", "analytic", "closure", "check", "write"),
+                       np.diff(marks).tolist()), resolve=scn.resolve_s)
+    result.files = files + (
+        _write_json(os.path.join(scn.out_dir, "timings.json"), {"seconds": seconds}),)
     return result
 
 
@@ -435,70 +444,43 @@ def _slot_for(scn, t):
     return slot if abs(slot * grid_dt - t) <= 1e-9 and 0 <= slot <= n_slots else None
 
 
-def _fmt(x):
-    return repr(float(x))
+def _write_csv(path, header, columns):
+    """A CSV of equal-length float columns, each value written as its repr."""
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
+    return path
 
 
 def _write_artifacts(result, diagnostics):
-    scn, sim_result = result.scenario, result.sim
-    mean, var = result.analytic_mean, result.analytic_var
+    scn, s = result.scenario, result.sim.summary
     os.makedirs(scn.out_dir, exist_ok=True)
-    files = []
-
-    path = os.path.join(scn.out_dir, "summary.csv")
-    with open(path, "w") as fh:
-        fh.write("t,analytic_mean,analytic_var,mc_mean,mc_stderr,mc_var\n")
-        s = sim_result.summary
-        for i in range(len(s.times)):
-            fh.write(
-                ",".join(
-                    [
-                        _fmt(s.times[i]), _fmt(mean[i]), _fmt(var[i]),
-                        _fmt(s.mean_f[i]), _fmt(s.stderr_f[i]), _fmt(s.var_f[i]),
-                    ]
-                )
-                + "\n"
-            )
-    files.append(path)
-
+    files = [_write_csv(
+        os.path.join(scn.out_dir, "summary.csv"),
+        "t,analytic_mean,analytic_var,mc_mean,mc_stderr,mc_var",
+        (s.times, result.analytic_mean, result.analytic_var, s.mean_f, s.stderr_f, s.var_f),
+    )]
     for t, (mc, law) in sorted(result.slice_samples.items()):
-        path = os.path.join(scn.out_dir, f"distribution_t{t:g}.csv")
-        with open(path, "w") as fh:
-            fh.write("mc_F,law_F\n")
-            for a, b in zip(mc, law):
-                fh.write(f"{_fmt(a)},{_fmt(b)}\n")
-        files.append(path)
-
+        files.append(_write_csv(
+            os.path.join(scn.out_dir, f"distribution_t{t:g}.csv"), "mc_F,law_F", (mc, law)))
     closure = result.closure
     if closure:
-        path = os.path.join(scn.out_dir, "closure.csv")
-        with open(path, "w") as fh:
-            fh.write("t,first_order,second_order,exact\n")
-            for i in range(len(closure["times"])):
-                fh.write(
-                    ",".join(
-                        [
-                            _fmt(closure["times"][i]),
-                            _fmt(closure["first"][i]),
-                            _fmt(closure["second"][i]),
-                            _fmt(closure["exact"][i]),
-                        ]
-                    )
-                    + "\n"
-                )
-        files.append(path)
+        files.append(_write_csv(
+            os.path.join(scn.out_dir, "closure.csv"), "t,first_order,second_order,exact",
+            (closure["times"], closure["first"], closure["second"], closure["exact"]),
+        ))
 
-    path = os.path.join(scn.out_dir, "run.json")
     doc = {
         "label": scn.label,
         "config": scn.raw,
         "seed": scn.sim.master_seed,
         "diagnostics": {
             "n_paths": scn.sim.n_paths,
-            "n_effective": sim_result.summary.n_effective,
-            "aborted": sim_result.aborted,
-            "max_norm_drift": sim_result.max_norm_drift,
-            "max_range_violation": sim_result.max_range_violation,
+            "n_effective": s.n_effective,
+            "aborted": result.sim.aborted,
+            "max_norm_drift": result.sim.max_norm_drift,
+            "max_range_violation": result.sim.max_range_violation,
             **diagnostics,
         },
         "check": {
@@ -512,11 +494,14 @@ def _write_artifacts(result, diagnostics):
             "sselab": __import__("sselab").__version__,
         },
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    files.append(path)
+    files.append(_write_json(os.path.join(scn.out_dir, "run.json"), doc))
     return tuple(files)
+
+
+def _write_json(path, doc):
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 def check_run(result):

@@ -14,14 +14,22 @@ of rows [Re psi; Im psi]: a step is one real matmul and a weighted sum
 over the monomials.  This module is the independent check on every
 closed-form law in the package: it never consults them.
 
-The step loop keeps only what reads psi.  X obeys x' = ax x + an N and
-never reads psi, so the run goes in chunks of CHUNK_VALUES path-steps:
-each chunk first computes its X path and monomial weights, then steps
-psi and stores every step's norms, then runs the abort test (non-finite
-or > ABORT_NORM norm, non-finite X) and the norm drift as vectorised
-passes over those norms.  A path that dies inside a chunk runs on to the
-chunk's end, silently, and its rows are dropped.  The noiseless targets
-at all recorded times come from one eigendecomposition of H.
+The step loop keeps only the linear update of psi.  X obeys
+x' = ax x + an N and never reads psi, so the run goes in chunks of
+CHUNK_VALUES path-steps: each chunk first computes its X path and
+monomial weights, then steps psi into a stack of the chunk's
+unnormalized states.  Dividing by a positive scalar commutes with a
+linear map, so the renormalized state at any step is the stack's entry
+divided by its norm, and the norm a renormalized step produces is the
+ratio of consecutive norms.  One pass over the stack after the loop
+then gives the norms, the abort test (non-finite or > ABORT_NORM norm,
+non-finite X), the norm drift, and the fidelities and kept states at
+the recorded steps.  A renormalizing run rescales the states in the loop
+only every _RESCALE_EVERY steps, at fixed step numbers, so the output
+does not depend on the chunk length.  A path that dies inside a chunk
+runs on to the chunk's end, silently, and its rows are dropped.  The
+noiseless targets at all recorded times come from one eigendecomposition
+of H.
 
 Reproducibility: path i draws from its own Philox(master_seed, i)
 stream, in a fixed order (initial noise value first, then one normal
@@ -51,9 +59,14 @@ TIME_BLOCK = 2048
 # Philox stream yields the same sequence in any block length, so the
 # output does not depend on this.
 BLOCK_NORMALS = 2**20
-# Path-steps per chunk of the step loop (see above); a chunk's weights take
-# 48 bytes per path-step, about 400 KB.  The output does not depend on it.
+# Path-steps per chunk of the step loop (see above).  A chunk stores its
+# weights (48 bytes per path-step) and its unnormalized states (16 d bytes
+# per path-step): about 660 KB at d = 2.  The output does not depend on it.
 CHUNK_VALUES = 2**13
+# A renormalizing run rescales psi only at step numbers divisible by this.
+# A live path's norm changes by at most ABORT_NORM per step, so between
+# rescales it stays within 1.5**64 (about 2e11) of 1.
+_RESCALE_EVERY = 64
 
 
 class PathAbortError(RuntimeError):
@@ -182,17 +195,27 @@ def _weights(x, N, terms):
     return np.stack(w, axis=-2)
 
 
-def _apply_map(R, psi, w, renormalize, norms=None):
-    """(psi', norms before renormalizing) for a real-layout (2d, paths) block.
+def _advance(R, psi, w, out=None, scratch=None):
+    """One linear step sum_m w_m M_m psi of a real-layout (2d, paths) block.
 
-    w is the step's (terms, paths) monomial weights; `norms` may name a
-    (paths,) array to write the norms into.
+    w is the step's (terms, paths) monomial weights; `out` may name the
+    (2d, paths) array to write into and `scratch` a (terms * 2d, paths)
+    array for R @ psi.
     """
-    out = np.einsum("mjp,mp->jp", (R @ psi).reshape(len(w), *psi.shape), w)
-    norms = np.sqrt(np.einsum("ij,ij->j", out, out), out=norms)
-    if renormalize:
-        np.divide(out, norms, out=out, where=norms > 0)
-    return out, norms
+    y = np.matmul(R, psi, out=scratch)
+    return np.einsum("mjp,mp->jp", y.reshape(len(w), *psi.shape), w, out=out)
+
+
+def _sq_norms(a):
+    """Squared norms over axis -2 of real-layout states.
+
+    Summed row by row in a fixed order, so a state's norm does not depend
+    on the array it sits in.
+    """
+    out = a[..., 0, :] ** 2
+    for j in range(1, a.shape[-2]):
+        out += a[..., j, :] ** 2
+    return out
 
 
 def _real(psi):
@@ -211,9 +234,12 @@ def step(Y, H, S, model, config, stream, normal=None):
     N = float(stream.standard_normal()) if normal is None else float(normal)
     R, (ax, an) = _step_map(H, S, model, config.scheme, config.dt)
     w = _weights(np.array([float(Y.x)]), np.array([N]), len(R) // (2 * d))
-    psi1, norms = _apply_map(R, _real(psi)[:, None], w, config.renormalize)
-    if not np.all(np.isfinite(psi1)) or norms[0] > ABORT_NORM:
-        raise PathAbortError(f"path aborted: norm {norms[0]:.4g}")
+    psi1 = _advance(R, _real(psi)[:, None], w)
+    norm = math.sqrt(_sq_norms(psi1)[0])
+    if not np.all(np.isfinite(psi1)) or norm > ABORT_NORM:
+        raise PathAbortError(f"path aborted: norm {norm:.4g}")
+    if config.renormalize and norm > 0:
+        psi1 /= norm
     return JointState(psi=psi1[:d, 0] + 1j * psi1[d:, 0], x=ax * float(Y.x) + an * N)
 
 
@@ -274,24 +300,38 @@ def simulate_paths(H, S, model, phi0, config):
     ]
     x0s = np.array([noise_mod.draw_initial(model, gen) for gen in gens])
     x = x0s.copy()
-    psi = np.repeat(_real(phi0)[:, None], n_paths, axis=1)
     alive = np.ones(n_paths, dtype=bool)
-
-    def record(slot, x):
-        # rows of aborted paths are recorded too, and dropped at the end
-        ov = targets[slot] @ psi
-        fids[:, slot] = ov[0] ** 2 + ov[1] ** 2
-        if states is not None:
-            states[:, slot] = psi.T
-            xs[:, slot] = x
-
-    record(0, x)
+    renorm = config.renormalize
     block = min(TIME_BLOCK, max(1, BLOCK_NORMALS // n_paths))
-    chunk = max(1, CHUNK_VALUES // n_paths)
+    chunk = max(1, min(CHUNK_VALUES // n_paths, block, n_steps))
+    # Psi[s] is the unnormalized state after the chunk's s-th step; row 0
+    # carries the state over from the previous chunk
+    Psi = np.empty((chunk + 1, 2 * d, n_paths))
+    Psi[0] = _real(phi0)[:, None]
+    scratch = np.empty((len(R), n_paths))
+
+    def record(rows, slots, sq, xrows):
+        # F = |<phi|psi>|^2 / |psi|^2 (the state is unnormalized); rows of
+        # aborted paths are recorded too, and dropped at the end
+        P, T = Psi[rows], targets[slots]
+        ov = T[:, :, 0, None] * P[:, None, 0]
+        for j in range(1, 2 * d):
+            ov += T[:, :, j, None] * P[:, None, j]
+        f = ov[:, 0] ** 2 + ov[:, 1] ** 2
+        if renorm:
+            f /= sq
+        fids[:, slots] = f.T
+        if states is not None:
+            if renorm:
+                P /= np.sqrt(sq)[:, None]
+            states[:, slots] = P.transpose(2, 0, 1)
+            xs[:, slots] = xrows.T
+
     step_no = 0
     # A path that dies inside a chunk runs on to the chunk's end and may
     # overflow there; its rows are dropped, so that stays silent.
     with np.errstate(over="ignore", invalid="ignore"):
+        record([0], [0], _sq_norms(Psi[:1]), x[None])
         while step_no < n_steps:
             tb = min(block, n_steps - step_no)
             normals = np.empty((n_paths, tb))
@@ -303,25 +343,43 @@ def simulate_paths(H, S, model, phi0, config):
                 nc = len(N)
                 xp = np.empty((nc + 1, n_paths))
                 xp[0] = x
-                aN = an * N
-                for s in range(nc):
-                    xp[s + 1] = ax * xp[s] + aN[s]
+                for prev, nxt, aN in zip(xp, xp[1:], an * N):
+                    np.multiply(prev, ax, out=nxt)
+                    np.add(nxt, aN, out=nxt)
                 w = _weights(xp[:-1], N, terms)
-                norms = np.empty((nc, n_paths))
+                # Only the linear update runs per step.  A renormalizing run
+                # rescales at absolute step numbers divisible by
+                # _RESCALE_EVERY, keeping the norm before the rescale.
+                rescaled = {}
                 for s in range(nc):
-                    psi, _ = _apply_map(R, psi, w[s], config.renormalize, norms[s])
-                    if (step_no + s + 1) % rec_every == 0:
-                        record((step_no + s + 1) // rec_every, xp[s + 1])
+                    _advance(R, Psi[s], w[s], Psi[s + 1], scratch)
+                    if renorm and (step_no + s + 1) % _RESCALE_EVERY == 0:
+                        n = np.sqrt(_sq_norms(Psi[s + 1]))
+                        np.divide(Psi[s + 1], n, out=Psi[s + 1], where=n > 0)
+                        rescaled[s] = n
+                sq = _sq_norms(Psi[:nc + 1])
+                nrm = np.sqrt(sq)
+                # the norm each step produced: of psi itself without
+                # renormalizing, else its growth over the step
+                norms = nrm[1:].copy()
+                for s, n in rescaled.items():
+                    norms[s] = n
+                if renorm:
+                    np.divide(norms, nrm[:-1], out=norms, where=nrm[:-1] > 0)
                 # a path dies at its first bad step; that step and later
                 # ones count for no drift
                 bad = (~np.isfinite(norms) | (norms > ABORT_NORM) | ~np.isfinite(xp[1:])) & alive
                 first = np.where(bad.any(axis=0), bad.argmax(axis=0), nc)
                 live = (np.arange(nc)[:, None] < first) & alive
                 drift = max(drift, float(np.where(live, np.abs(norms - 1.0), 0.0).max()))
+                rec = np.arange(rec_every - step_no % rec_every, nc + 1, rec_every)
+                if len(rec):
+                    record(rec, (step_no + rec) // rec_every, sq[rec], xp[rec])
                 dead = first < nc
                 abort_step[dead] = step_no + first[dead] + 1
                 alive &= ~dead
-                psi[:, dead] = 0.0
+                Psi[0] = Psi[nc]
+                Psi[0][:, dead] = 0.0
                 x = xp[-1]
                 x[dead] = 0.0
                 step_no += nc
@@ -349,13 +407,11 @@ def simulate_paths(H, S, model, phi0, config):
     var = np.full(n_rec, np.nan)
     stderr = np.full(n_rec, np.nan)
     if n_eff >= 1:
-        for j in range(n_rec):
-            col = fid_rows[:, j]
-            m = math.fsum(col) / n_eff
-            mean[j] = m
-            if n_eff >= 2:
-                var[j] = math.fsum((c - m) ** 2 for c in col) / (n_eff - 1)
-                stderr[j] = math.sqrt(var[j] / n_eff)
+        mean = np.array([math.fsum(col) for col in fid_rows.T.tolist()]) / n_eff
+    if n_eff >= 2:
+        dev = ((fid_rows - mean) ** 2).T.tolist()
+        var = np.array([math.fsum(col) for col in dev]) / (n_eff - 1)
+        stderr = np.sqrt(var / n_eff)
     summary = SummaryTable(
         times=times, mean_f=mean, var_f=var, stderr_f=stderr, n_effective=n_eff
     )

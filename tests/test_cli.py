@@ -169,6 +169,23 @@ def test_run_json_records_check_outcome(tmp_path, capsys, monkeypatch):
     assert "check failed: mean off by 9 stderr" in capsys.readouterr().err
 
 
+def test_run_writes_stage_timings(tmp_path, capsys):
+    # every stage's wall time goes to timings.json; run.json and summary.csv
+    # stay byte-identical across repeat runs
+    cfg = write_config(tmp_path, APPROX_INI, out=tmp_path / "out")
+    blobs = []
+    for _ in range(2):
+        assert cli.main(["run", cfg]) == 0
+        blobs.append([(tmp_path / "out" / name).read_bytes()
+                      for name in ("run.json", "summary.csv")])
+    assert blobs[0] == blobs[1]
+    assert str(tmp_path / "out" / "timings.json") in capsys.readouterr().out.splitlines()
+    seconds = json.loads((tmp_path / "out" / "timings.json").read_text())["seconds"]
+    assert set(seconds) == {"resolve", "simulate", "analytic", "closure", "write", "check"}
+    assert all(isinstance(v, float) and v >= 0.0 for v in seconds.values())
+    assert seconds["resolve"] > 0.0 and seconds["closure"] > 0.0
+
+
 def test_thread_count_does_not_change_output(tmp_path, monkeypatch):
     blobs = {}
     for threads in ("1", "4", "8"):

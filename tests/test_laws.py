@@ -300,3 +300,32 @@ def test_spectral_law_merges_integer_gaps():
     want = laws.two_qubit_law(0.0, 0.0, "pauli")
     assert np.allclose([c for _, c in law.terms], [c for _, c in want.terms],
                        rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("model", [
+    noise.white_noise(0.3),
+    noise.ou_noise(0.2, 0.1),
+    noise.ou_noise(0.25, 0.4, init=noise.STATIONARY),
+])
+def test_series_mean_variance_over_a_time_array(model):
+    # a time array gives, entry for entry, the per-time scalar results and
+    # a per-time transcription in Python floats
+    law = laws.two_qubit_law(0.3, 0.2, "pauli")
+    squared = laws.product_two(law, law)
+    g2, k = model.gamma**2, model.k
+    times = np.linspace(0.0, 20.0, 251)
+    mean, var = laws.series_mean_variance(law, model, times)
+    assert mean.shape == var.shape == times.shape
+    for t, m, v in zip(times.tolist(), mean, var):
+        m1, v1 = laws.series_mean_variance(law, model, t)
+        assert isinstance(m1, float) and isinstance(v1, float)
+        assert abs(m - m1) < 1e-14 and abs(v - v1) < 1e-14
+        if k == 0:
+            vt = g2 * t
+        elif model.init == noise.CALIBRATED:
+            vt = g2 / (2 * k) * -math.expm1(-2 * k * t)
+        else:
+            vt = g2 / k * -math.expm1(-k * t)
+        m2 = sum(c * math.exp(-0.5 * f * f * vt) for f, c in law.terms)
+        s2 = sum(c * math.exp(-0.5 * f * f * vt) for f, c in squared.terms)
+        assert abs(m - m2) < 1e-14 and abs(v - (s2 - m2 * m2)) < 1e-14

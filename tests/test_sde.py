@@ -121,25 +121,30 @@ def test_step_map_matches_scheme_formula(scheme):
 
 @pytest.mark.parametrize("scheme", sde.SCHEMES)
 def test_simulate_paths_matches_step_loop(scheme):
-    """The batched kernel against step() on each path's own Philox stream."""
+    """The batched kernel against step() on each path's own Philox stream.
+
+    The 150-step run passes two of the points where a renormalizing run
+    rescales its unnormalized states (steps 64 and 128).
+    """
     rng = np.random.default_rng(5)
     H, S = _random_hermitian(rng, 4), _random_hermitian(rng, 4)
     model = noise.ou_noise(0.3, 0.7, init=noise.STATIONARY)
     phi0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     phi0 /= np.linalg.norm(phi0)
-    cfg = sde.SimConfig(dt=0.01, T=0.2, n_paths=3, master_seed=12, scheme=scheme,
-                        keep_states=True)
-    res = sde.simulate_paths(H, S, model, phi0, cfg)
-    assert res.states.shape == (3, 21, 4)
-    for i in range(3):
-        stream = np.random.Generator(
-            np.random.Philox(key=np.array([12, i], dtype=np.uint64)))
-        Y = sde.JointState(psi=phi0, x=noise.draw_initial(model, stream))
-        for j in range(cfg.n_steps + 1):
-            assert np.max(np.abs(res.states[i, j] - Y.psi)) < 1e-13
-            assert abs(res.xs[i, j] - Y.x) < 1e-13
-            if j < cfg.n_steps:
-                Y = sde.step(Y, H, S, model, cfg, stream)
+    for T in (0.2, 1.5):
+        cfg = sde.SimConfig(dt=0.01, T=T, n_paths=3, master_seed=12, scheme=scheme,
+                            keep_states=True)
+        res = sde.simulate_paths(H, S, model, phi0, cfg)
+        assert res.states.shape == (3, cfg.n_steps + 1, 4)
+        for i in range(3):
+            stream = np.random.Generator(
+                np.random.Philox(key=np.array([12, i], dtype=np.uint64)))
+            Y = sde.JointState(psi=phi0, x=noise.draw_initial(model, stream))
+            for j in range(cfg.n_steps + 1):
+                assert np.max(np.abs(res.states[i, j] - Y.psi)) < 1e-13
+                assert abs(res.xs[i, j] - Y.x) < 1e-13
+                if j < cfg.n_steps:
+                    Y = sde.step(Y, H, S, model, cfg, stream)
 
 
 def test_platen_reduces_to_heun_without_noise():
@@ -313,6 +318,51 @@ def test_dead_path_overflows_silently():
         assert i in res.path_indices
     assert 0 < res.max_norm_drift == pytest.approx(drift, rel=0, abs=1e-15)
     assert res.summary.n_effective == cfg.n_paths - 1
+
+
+def test_rescaling_keeps_a_growing_map_in_range(monkeypatch):
+    # A map scaled by 1.3 multiplies the norm by 1.3 per step (1.3**4096
+    # overflows), but a renormalizing run only sees the direction of psi:
+    # rescaled every _RESCALE_EVERY steps it aborts nothing, gives the
+    # fidelities of the unscaled map and reports the 1.3 growth as drift.
+    model = noise.ou_noise(0.3, 0.5, init=noise.STATIONARY)
+    H = 0.7 * qstate.SIGMA_X
+    cfg = sde.SimConfig(dt=1e-3, T=4.5, n_paths=1, master_seed=2, record_every=50)
+    assert cfg.n_steps >= 4096
+    ref = sde.simulate_paths(H, qstate.SIGMA_X, model, KET0, cfg)
+    step_map = sde._step_map
+
+    def scaled(*args):
+        R, lin = step_map(*args)
+        return 1.3 * R, lin
+
+    monkeypatch.setattr(sde, "_step_map", scaled)
+    got = sde.simulate_paths(H, qstate.SIGMA_X, model, KET0, cfg)
+    assert got.aborted == ()
+    assert np.max(np.abs(got.fidelities - ref.fidelities)) < 1e-12
+    assert got.max_norm_drift == pytest.approx(0.3, abs=1e-3)
+
+
+def test_summary_matches_column_loop():
+    # the summary statistics against a transcription of the per-column loop
+    model = noise.ou_noise(0.4, 0.5, init=noise.STATIONARY)
+    for n_paths, dt, T, rec in ((50, 1e-3, 0.25, 1), (500, 1e-2, 0.15, 1),
+                                (100, 1e-2, 0.3, 1)):
+        cfg = sde.SimConfig(dt=dt, T=T, n_paths=n_paths, master_seed=11,
+                            record_every=rec)
+        res = sde.simulate_paths(ZERO_H, qstate.SIGMA_X, model, KET0, cfg)
+        fids = res.fidelities
+        n = len(fids)
+        mean, var, stderr = (np.empty(fids.shape[1]) for _ in range(3))
+        for j in range(fids.shape[1]):
+            col = fids[:, j]
+            m = math.fsum(col) / n
+            mean[j] = m
+            var[j] = math.fsum((c - m) ** 2 for c in col) / (n - 1)
+            stderr[j] = math.sqrt(var[j] / n)
+        assert np.array_equal(res.summary.mean_f, mean)
+        assert np.array_equal(res.summary.var_f, var)
+        assert np.array_equal(res.summary.stderr_f, stderr)
 
 
 def test_negative_seeds_get_their_own_streams():
