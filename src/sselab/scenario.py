@@ -27,7 +27,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -94,20 +94,24 @@ class Scenario:
     scan_T: float = 0.0
     raw: dict = None
     resolve_s: float = 0.0    # seconds resolve took; goes to timings.json
+    ops: tuple = field(default=None, compare=False, repr=False)  # (H, S), see _build_ops
 
     def hamiltonian(self):
-        d = self.state.shape[0]
-        if self.h_spec == "none":
-            return np.zeros((d, d), dtype=complex)
-        h = qstate.build_operator(_parse_op_spec(self.h_spec))
-        return self.alpha * h
+        return self.ops[0]
 
     def noise_operator(self):
         """S; for twoqubit runs the collective Q (x) I + I (x) Q of base_op Q."""
-        q = self.noise_spec
-        if self.name == "twoqubit":
-            q = ("sum", ("tensor", q, "I"), ("tensor", "I", q))
-        return qstate.build_operator(q)
+        return self.ops[1]
+
+
+def _build_ops(kind, noise_spec, h_spec, alpha, d):
+    """(H, S) from the specs, built once per run by `resolve`."""
+    H = np.zeros((d, d), dtype=complex)
+    if h_spec != "none":
+        H = alpha * qstate.build_operator(_parse_op_spec(h_spec))
+    if kind == "twoqubit":
+        noise_spec = ("sum", ("tensor", noise_spec, "I"), ("tensor", "I", noise_spec))
+    return H, qstate.build_operator(noise_spec)
 
 
 def _parse_op_spec(text):
@@ -189,6 +193,12 @@ def resolve(cfg, label="custom"):
     else:
         op_spec = _get(cfg, "scenario", "noise_op", "X")
     h_spec = _get(cfg, "scenario", "hamiltonian", "none")
+    try:
+        # an infinite alpha makes inf * 0 entries here; _validate rejects it
+        with np.errstate(invalid="ignore"):
+            ops = _build_ops(kind, op_spec, h_spec, alpha, state.shape[0])
+    except ValueError as exc:  # an unknown operator name or a bad control number
+        raise ConfigError(str(exc)) from exc
 
     scn = Scenario(
         name=kind,
@@ -203,6 +213,7 @@ def resolve(cfg, label="custom"):
         t_slices=slices,
         scan_T=scan_T,
         raw=cfg,
+        ops=ops,
     )
     _validate(scn)
     _check_budget(scn)
@@ -240,11 +251,7 @@ def _validate(scn):
         if scn.state.shape[0] != 2 or not scn.alpha > 0:
             raise ConfigError("noncommuting scenarios are single-qubit, with alpha > 0")
         return
-    try:
-        s_op = scn.noise_operator()
-        h = scn.hamiltonian()
-    except ValueError as exc:  # an unknown operator name or a bad control number
-        raise ConfigError(str(exc)) from exc
+    s_op, h = scn.noise_operator(), scn.hamiltonian()
     d = scn.state.shape[0]
     if s_op.shape != (d, d) or h.shape != (d, d) or not np.isfinite(h).all():
         raise ConfigError(f"the operators must be finite and act on the {d}-dim state")
@@ -372,9 +379,8 @@ def run_scenario(scn):
     """
     clock = time.perf_counter
     marks = [clock()]
-    H = scn.hamiltonian()
-    s_op = scn.noise_operator()
-    sim_result = sde_mod.simulate_paths(H, s_op, scn.model, scn.state, scn.sim)
+    sim_result = sde_mod.simulate_paths(
+        scn.hamiltonian(), scn.noise_operator(), scn.model, scn.state, scn.sim)
     marks.append(clock())
     times = sim_result.times
     mean, var, diagnostics = analytic_series(scn, times)
@@ -481,6 +487,7 @@ def _write_artifacts(result, diagnostics):
             "aborted": result.sim.aborted,
             "max_norm_drift": result.sim.max_norm_drift,
             "max_range_violation": result.sim.max_range_violation,
+            "sde_kernel": result.sim.kernel,
             **diagnostics,
         },
         "check": {

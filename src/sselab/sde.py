@@ -31,9 +31,23 @@ runs on to the chunk's end, silently, and its rows are dropped.  The
 noiseless targets at all recorded times come from one eigendecomposition
 of H.
 
+When H and S commute, the pathwise state is exp(-iHt) exp(-iS dX) phi0
+and every M_m is diagonal in a joint eigenbasis V of H and S
+(`_eigenbasis`).  Such a run steps the coordinates V'psi instead: each
+chunk forms every step's factors sum_m w_m lam_m in one product, and a
+step is one elementwise complex multiply.  The run takes this diagonal
+kernel only when every V'M_mV is diagonal to 1e-12 of its largest entry,
+and the dense one otherwise; `step` is the dense reference.  Both share
+the noise path, the pass over the norms and the recording, which reads
+the diagonal kernel's states in a real layout of their own and maps kept
+states back with V at the end.  F at t = 0 is computed from phi0 itself
+for both, so it is exactly 1 for a basis state at H = 0.
+
 Reproducibility: path i draws from its own Philox(master_seed, i)
 stream, in a fixed order (initial noise value first, then one normal
-per step), so the output depends only on the config and the seed.
+per step), so the output depends only on the config and the seed.  One
+generator serves every path, with each path's stream state swapped in
+for its draws.
 """
 
 import math
@@ -61,7 +75,9 @@ TIME_BLOCK = 2048
 BLOCK_NORMALS = 2**20
 # Path-steps per chunk of the step loop (see above).  A chunk stores its
 # weights (48 bytes per path-step) and its unnormalized states (16 d bytes
-# per path-step): about 660 KB at d = 2.  The output does not depend on it.
+# per path-step), and the diagonal kernel its step factors (16 d bytes
+# more): 660 KB at d = 2 dense, 920 KB at d = 2 and 1.4 MB at d = 4
+# diagonal.  The output does not depend on it.
 CHUNK_VALUES = 2**13
 # A renormalizing run rescales psi only at step numbers divisible by this.
 # A live path's norm changes by at most ABORT_NORM per step, so between
@@ -138,6 +154,7 @@ class SimulationResult:
     aborted: tuple                # ((path index, step index), ...)
     max_norm_drift: float
     max_range_violation: float
+    kernel: str                   # the step kernel that ran: "dense" or "diagonal"
 
 
 def _check_ops(H, S, d):
@@ -183,7 +200,7 @@ def _step_map(H, S, model, scheme, dt):
     return R.reshape(-1, 2 * len(H)), lin
 
 
-def _weights(x, N, terms):
+def _weights(x, N, terms, out=None):
     """Monomial weights (1, x, N, x^2, xN, N^2)[:terms], stacked on axis -2.
 
     For (steps, paths) arrays of noise values x and normals N this is a
@@ -192,7 +209,7 @@ def _weights(x, N, terms):
     w = [np.ones_like(x), x, N]
     if terms == 6:
         w += [x * x, x * N, N * N]
-    return np.stack(w, axis=-2)
+    return np.stack(w, axis=-2, out=out)
 
 
 def _advance(R, psi, w, out=None, scratch=None):
@@ -220,6 +237,57 @@ def _sq_norms(a):
 
 def _real(psi):
     return np.concatenate([psi.real, psi.imag])
+
+
+def _eigenbasis(R, H, S):
+    """A joint eigenbasis V of H and S in which every step matrix is diagonal.
+
+    V diagonalizes S, and H within each of S's degenerate eigenspaces.
+    Returns (V, lam), lam the (terms, 2d) real array of the M_m's diagonals
+    in V with Re and Im interleaved, or None when some V'M_mV has an
+    off-diagonal entry above 1e-12 of its largest one (H and S do not
+    commute).  The M_m are read back from R, the map the dense kernel runs.
+    """
+    d = len(H)
+    s, V = np.linalg.eigh(S)
+    cuts = np.flatnonzero(np.diff(s) > 1e-9 * max(1.0, np.abs(s).max())) + 1
+    for block in np.split(np.arange(d), cuts):
+        W = V[:, block]
+        V[:, block] = W @ np.linalg.eigh(W.conj().T @ H @ W)[1]
+    R = R.reshape(-1, 2 * d, 2 * d)
+    L = V.conj().T @ (R[:, :d, :d] + 1j * R[:, d:, :d]) @ V
+    lam = L.diagonal(axis1=1, axis2=2)
+    off = np.abs(L - lam[:, :, None] * np.eye(d)).max(axis=(1, 2))
+    if np.any(off > 1e-12 * np.abs(L).max(axis=(1, 2))):
+        return None
+    return V, np.ascontiguousarray(lam).view(float)
+
+
+def _overlap_rows(phis, interleaved):
+    """Rows giving <phi|psi> for states psi in real layout: (..., 2, 2d).
+
+    Row 0 dotted with psi is Re <phi|psi> and row 1 is Im <phi|psi>.  The
+    layout is [Re; Im] (the dense kernel's) or, if `interleaved`, Re and Im
+    of each component side by side (the diagonal kernel's).
+    """
+    rows = [phis, 1j * phis]
+    if interleaved:
+        rows = [np.ascontiguousarray(r).view(float) for r in rows]
+    else:
+        rows = [np.concatenate([r.real, r.imag], axis=-1) for r in rows]
+    return np.stack(rows, axis=-2)
+
+
+def _overlap_sq(P, T):
+    """|<phi|psi>|^2 of states P (rows, 2d, paths) against T (rows, 2, 2d).
+
+    Summed component by component in a fixed order, so a value does not
+    depend on the array it sits in.
+    """
+    ov = T[:, :, 0, None] * P[:, None, 0]
+    for j in range(1, P.shape[1]):
+        ov += T[:, :, j, None] * P[:, None, j]
+    return ov[:, 0] ** 2 + ov[:, 1] ** 2
 
 
 def step(Y, H, S, model, config, stream, normal=None):
@@ -279,12 +347,10 @@ def simulate_paths(H, S, model, phi0, config):
     n_rec = n_steps // rec_every + 1
     times = np.arange(n_rec) * (config.dt * rec_every)
 
-    # <phi|psi> in real layout: rows [Re phi, Im phi] and [-Im phi, Re phi]
     phis = target_evolution(H, phi0, times)
-    targets = np.stack([np.concatenate([phis.real, phis.imag], axis=1),
-                        np.concatenate([-phis.imag, phis.real], axis=1)], axis=1)
     R, (ax, an) = _step_map(H, S, model, config.scheme, config.dt)
     terms = len(R) // (2 * d)
+    basis = _eigenbasis(R, H, S)
 
     n_paths = config.n_paths
     fids = np.empty((n_paths, n_rec))
@@ -293,31 +359,64 @@ def simulate_paths(H, S, model, phi0, config):
     abort_step = np.full(n_paths, -1, dtype=np.int64)
     drift = 0.0
 
+    # Path i draws from Philox(key=[seed, i]): its initial noise value, then
+    # one normal per step, a block of steps at a time.  One generator serves
+    # all paths: a path's stream state is swapped in for its draws and, if
+    # it has more to draw, out after them.  That is far cheaper than
+    # building a Philox per path.
     seed = config.master_seed & (2**64 - 1)
-    gens = [
-        np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
+    bitgen = np.random.Philox()
+    gen = np.random.Generator(bitgen)
+    zero = np.zeros(4, dtype=np.uint64)
+    streams = [
+        {"bit_generator": "Philox", "buffer": zero, "buffer_pos": 4, "has_uint32": 0,
+         "uinteger": 0, "state": {"counter": zero, "key": np.array([seed, i], dtype=np.uint64)}}
         for i in range(n_paths)
     ]
-    x0s = np.array([noise_mod.draw_initial(model, gen) for gen in gens])
+    x0s = np.zeros(n_paths)
+    block = min(TIME_BLOCK, max(1, BLOCK_NORMALS // n_paths))
+
+    def draw_block(start):
+        tb = min(block, n_steps - start)
+        normals = np.empty((n_paths, tb))
+        for i in range(n_paths):
+            bitgen.state = streams[i]
+            if start == 0:
+                x0s[i] = noise_mod.draw_initial(model, gen)
+            normals[i] = gen.standard_normal(tb)
+            if start + tb < n_steps:
+                streams[i] = bitgen.state
+        return normals
+
+    normals = draw_block(0)
     x = x0s.copy()
     alive = np.ones(n_paths, dtype=bool)
     renorm = config.renormalize
-    block = min(TIME_BLOCK, max(1, BLOCK_NORMALS // n_paths))
     chunk = max(1, min(CHUNK_VALUES // n_paths, block, n_steps))
-    # Psi[s] is the unnormalized state after the chunk's s-th step; row 0
-    # carries the state over from the previous chunk
-    Psi = np.empty((chunk + 1, 2 * d, n_paths))
-    Psi[0] = _real(phi0)[:, None]
-    scratch = np.empty((len(R), n_paths))
+    # The chunk's buffers are allocated once: fresh ones cost page faults.
+    W = np.empty((chunk, terms, n_paths))
+    # Psi[s] is the unnormalized state after the chunk's s-th step, in real
+    # layout (2d, paths); row 0 carries the state over from the previous
+    # chunk.  The diagonal kernel steps the coordinates C[s] = V'psi, a
+    # (paths, d) complex array, and Psi views them in real layout.
+    if basis is None:
+        targets = _overlap_rows(phis, interleaved=False)
+        Psi = np.empty((chunk + 1, 2 * d, n_paths))
+        Psi[0] = _real(phi0)[:, None]
+        scratch = np.empty((len(R), n_paths))
+    else:
+        V, lam = basis
+        targets = _overlap_rows(phis @ V.conj(), interleaved=True)
+        G2 = np.empty((chunk, n_paths, 2 * d))
+        C = np.empty((chunk + 1, n_paths, d), dtype=complex)
+        C[0] = V.conj().T @ phi0
+        Psi = np.swapaxes(C.view(float), 1, 2)
 
     def record(rows, slots, sq, xrows):
         # F = |<phi|psi>|^2 / |psi|^2 (the state is unnormalized); rows of
         # aborted paths are recorded too, and dropped at the end
-        P, T = Psi[rows], targets[slots]
-        ov = T[:, :, 0, None] * P[:, None, 0]
-        for j in range(1, 2 * d):
-            ov += T[:, :, j, None] * P[:, None, j]
-        f = ov[:, 0] ** 2 + ov[:, 1] ** 2
+        P = Psi[rows]
+        f = _overlap_sq(P, targets[slots])
         if renorm:
             f /= sq
         fids[:, slots] = f.T
@@ -332,11 +431,16 @@ def simulate_paths(H, S, model, phi0, config):
     # overflow there; its rows are dropped, so that stays silent.
     with np.errstate(over="ignore", invalid="ignore"):
         record([0], [0], _sq_norms(Psi[:1]), x[None])
+        if basis is not None:
+            # F at t = 0 as the dense kernel gives it (1 for a basis state
+            # and H = 0), which the eigenbasis would give only to round-off
+            P0 = _real(phi0)[None, :, None]
+            f0 = _overlap_sq(P0, _overlap_rows(phis[:1], interleaved=False))
+            fids[:, 0] = (f0 / _sq_norms(P0) if renorm else f0).item()
         while step_no < n_steps:
-            tb = min(block, n_steps - step_no)
-            normals = np.empty((n_paths, tb))
-            for j, gen in enumerate(gens):
-                normals[j] = gen.standard_normal(tb)
+            if step_no > 0:
+                normals = draw_block(step_no)
+            tb = normals.shape[1]
             for c0 in range(0, tb, chunk):
                 # the noise path and the weights never read psi
                 N = normals[:, c0:c0 + chunk].T
@@ -346,13 +450,21 @@ def simulate_paths(H, S, model, phi0, config):
                 for prev, nxt, aN in zip(xp, xp[1:], an * N):
                     np.multiply(prev, ax, out=nxt)
                     np.add(nxt, aN, out=nxt)
-                w = _weights(xp[:-1], N, terms)
+                w = _weights(xp[:-1], N, terms, out=W[:nc])
+                if basis is not None:
+                    # every step's factors sum_m w_m lam_m, (steps, paths, d),
+                    # as one small product per step, so that a step's factors
+                    # do not depend on the chunk length
+                    G = np.matmul(w.transpose(0, 2, 1), lam, out=G2[:nc]).view(complex)
                 # Only the linear update runs per step.  A renormalizing run
                 # rescales at absolute step numbers divisible by
                 # _RESCALE_EVERY, keeping the norm before the rescale.
                 rescaled = {}
                 for s in range(nc):
-                    _advance(R, Psi[s], w[s], Psi[s + 1], scratch)
+                    if basis is None:
+                        _advance(R, Psi[s], w[s], Psi[s + 1], scratch)
+                    else:
+                        np.multiply(C[s], G[s], out=C[s + 1])
                     if renorm and (step_no + s + 1) % _RESCALE_EVERY == 0:
                         n = np.sqrt(_sq_norms(Psi[s + 1]))
                         np.divide(Psi[s + 1], n, out=Psi[s + 1], where=n > 0)
@@ -392,6 +504,12 @@ def simulate_paths(H, S, model, phi0, config):
         )
     rows = np.flatnonzero(alive)
     fid_rows = fids[rows]
+    if states is not None:
+        states = states[rows]
+        if basis is None:
+            states = states[..., :d] + 1j * states[..., d:]
+        else:
+            states = states.view(complex) @ V.T
 
     violation = 0.0
     if fid_rows.size:
@@ -422,10 +540,11 @@ def simulate_paths(H, S, model, phi0, config):
         path_indices=rows,
         initial_x=x0s[rows],
         terminal_x=x[rows],
-        states=None if states is None else states[rows, :, :d] + 1j * states[rows, :, d:],
+        states=states,
         xs=None if xs is None else xs[rows],
         summary=summary,
         aborted=aborted,
         max_norm_drift=drift,
         max_range_violation=violation,
+        kernel="dense" if basis is None else "diagonal",
     )

@@ -61,6 +61,7 @@ def test_run_config_file(tmp_path, capsys):
     diag = doc["diagnostics"]
     assert diag["n_paths"] == diag["n_effective"] == 40 and diag["aborted"] == []
     assert 0 <= diag["max_norm_drift"] < 1e-3 and 0 <= diag["max_range_violation"] < 1e-6
+    assert diag["sde_kernel"] == "diagonal"
     assert not {"epsilon_sq", "magnus_out_of_range", "closure_imag_residue"} & set(diag)
 
 
@@ -93,6 +94,7 @@ def test_run_json_records_approximation_diagnostics(tmp_path):
     rows = np.loadtxt(tmp_path / "nc" / "summary.csv", delimiter=",", skiprows=1)
     assert diag["epsilon_sq"] == pytest.approx(0.04)
     assert diag["magnus_out_of_range"] == np.count_nonzero(rows[:, 1] > 1) == 5
+    assert diag["sde_kernel"] == "dense"
 
     white = noncommuting.replace("kind = ou", "kind = white").replace("\nk = 1000", "")
     assert cli.main(["run", write_config(tmp_path, text=white, out=tmp_path / "wn")]) == 0

@@ -135,6 +135,7 @@ def test_simulate_paths_matches_step_loop(scheme):
         cfg = sde.SimConfig(dt=0.01, T=T, n_paths=3, master_seed=12, scheme=scheme,
                             keep_states=True)
         res = sde.simulate_paths(H, S, model, phi0, cfg)
+        assert res.kernel == "dense"
         assert res.states.shape == (3, cfg.n_steps + 1, 4)
         for i in range(3):
             stream = np.random.Generator(
@@ -145,6 +146,72 @@ def test_simulate_paths_matches_step_loop(scheme):
                 assert abs(res.xs[i, j] - Y.x) < 1e-13
                 if j < cfg.n_steps:
                     Y = sde.step(Y, H, S, model, cfg, stream)
+
+
+_I2 = np.eye(2)
+_XX = np.kron(qstate.SIGMA_X, qstate.SIGMA_X)
+# Each pair commutes.  Z (x) I has two double eigenvalues, and eigh returns
+# the standard basis, in which I (x) X is not diagonal: only the basis that
+# also diagonalizes H inside S's eigenspaces makes the step matrices
+# diagonal there.
+COMMUTING = {
+    "pauli": (0.8 * qstate.SIGMA_X, qstate.SIGMA_X, KET0),
+    "projection": (ZERO_H, qstate.PROJ_1, np.array([0.6, 0.8j])),
+    "collective": (_XX, np.kron(qstate.SIGMA_X, _I2) + np.kron(_I2, qstate.SIGMA_X),
+                   np.array([1.0, 0, 0, 0])),
+    "degenerate": (np.kron(_I2, qstate.SIGMA_X) + 0.5 * np.kron(qstate.SIGMA_Z, qstate.SIGMA_X),
+                   np.kron(qstate.SIGMA_Z, _I2), np.array([0.5, 0.1j, -0.7, 0.5j])),
+}
+
+
+@pytest.mark.parametrize("scheme, renormalize", [
+    (sde.PLATEN_WEAK2, True), (sde.EULER_MARUYAMA, True), (sde.PLATEN_WEAK2, False)])
+@pytest.mark.parametrize("case", sorted(COMMUTING))
+def test_diagonal_kernel_matches_step_loop(case, scheme, renormalize):
+    """A commuting run steps in the joint eigenbasis; step() is the oracle.
+
+    The 150 steps pass the rescale points 64 and 128 of a renormalizing run.
+    Without renormalization the norm drifts, and an early fidelity would
+    leave [0, 1], so that run records only its last step.  Unnormalized
+    Euler drifts by up to 10% here, past 1 even there.
+    """
+    H, S, phi0 = COMMUTING[case]
+    phi0 = qstate.as_state(phi0)
+    model = noise.ou_noise(0.3, 0.7, init=noise.STATIONARY)
+    cfg = sde.SimConfig(dt=0.01, T=1.5, n_paths=3, master_seed=12, scheme=scheme,
+                        renormalize=renormalize, record_every=1 if renormalize else 150,
+                        keep_states=True)
+    res = sde.simulate_paths(H, S, model, phi0, cfg)
+    assert res.kernel == "diagonal"
+    assert res.aborted == ()
+    targets = sde.target_evolution(H, phi0, res.times)
+    for i in range(3):
+        stream = np.random.Generator(
+            np.random.Philox(key=np.array([12, i], dtype=np.uint64)))
+        Y = sde.JointState(psi=phi0, x=noise.draw_initial(model, stream))
+        for n in range(cfg.n_steps + 1):
+            if n % cfg.record_every == 0:
+                j = n // cfg.record_every
+                assert np.max(np.abs(res.states[i, j] - Y.psi)) < 1e-13
+                assert abs(res.xs[i, j] - Y.x) < 1e-13
+                f = abs(np.vdot(targets[j], Y.psi)) ** 2
+                if renormalize:
+                    f /= np.vdot(Y.psi, Y.psi).real
+                assert abs(res.fidelities[i, j] - f) < 1e-13
+            if n < cfg.n_steps:
+                Y = sde.step(Y, H, S, model, cfg, stream)
+
+
+def test_noncommuting_run_takes_the_dense_kernel():
+    # H = X, S = Z: no basis makes the step diagonal.  A commutator of 1e-9
+    # is not round-off either.
+    model = noise.ou_noise(0.2, 1.0, init=noise.STATIONARY)
+    cfg = sde.SimConfig(dt=1e-2, T=0.1, n_paths=2, master_seed=1)
+    for H, S in ((qstate.SIGMA_X, qstate.SIGMA_Z),
+                 (qstate.SIGMA_X + 1e-9 * qstate.SIGMA_Z, qstate.SIGMA_X)):
+        assert sde.simulate_paths(H, S, model, KET0, cfg).kernel == "dense"
+    assert sde.simulate_paths(qstate.SIGMA_X, qstate.SIGMA_X, model, KET0,
+                              cfg).kernel == "diagonal"
 
 
 def test_platen_reduces_to_heun_without_noise():
@@ -358,7 +425,9 @@ def test_summary_matches_column_loop():
             col = fids[:, j]
             m = math.fsum(col) / n
             mean[j] = m
-            var[j] = math.fsum((c - m) ** 2 for c in col) / (n - 1)
+            # (c - m) ** 2 would call libm pow, which can round a square
+            # one ulp off; a product is correctly rounded, as numpy's is
+            var[j] = math.fsum((c - m) * (c - m) for c in col) / (n - 1)
             stderr[j] = math.sqrt(var[j] / n)
         assert np.array_equal(res.summary.mean_f, mean)
         assert np.array_equal(res.summary.var_f, var)
