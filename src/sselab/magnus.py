@@ -103,11 +103,6 @@ class NonCommutingSystem:
     def epsilon_sq(self):
         return self.gamma**2 / self.alpha
 
-    @property
-    def triple_sign(self):
-        """+1 for a cyclic triple, -1 for an anticyclic one."""
-        return 1.0 if tuple(self.triple) in _CYCLIC else -1.0
-
     def operators(self):
         """(H, S) in the computational basis."""
         return self.alpha * _PAULI[self.triple[0]], _PAULI[self.triple[1]]
@@ -128,15 +123,8 @@ def system_for_state(alpha, gamma, triple, phi0):
     )
 
 
-@dataclass(frozen=True)
-class TenSystem:
-    a_c: np.ndarray
-    b: np.ndarray
-    v0: np.ndarray
-
-
 def build_system(sys, phi0):
-    """Populate the fixed matrices and V0 = observables of phi0.
+    """V0, the ten observables of phi0.
 
     V0 = [1, C1^2, C2^2, C3^2, 0, 0, 0, 2C1C2, 2C1C3, 2C2C3]; the three
     zero slots are the cross terms that vanish when the initial state
@@ -146,11 +134,10 @@ def build_system(sys, phi0):
     expect = (c1, c2, c3)
     if abs(sum(c * c for c in expect) - 1.0) > 1e-10:
         raise ValueError("initial state must be pure and normalized")
-    v0 = np.array(
+    return np.array(
         [1.0, c1 * c1, c2 * c2, c3 * c3, 0.0, 0.0, 0.0,
          2 * c1 * c2, 2 * c1 * c3, 2 * c2 * c3]
     )
-    return TenSystem(a_c=AC_MATRIX, b=B_MATRIX, v0=v0)
 
 
 def _wn_magnus_generator(g2, tau):
@@ -171,14 +158,14 @@ def wn_mean_fidelity(sys, phi0, t):
     Rescales to tau = alpha*t, g2 = gamma^2/alpha, then
     E[V](tau) ~ exp(Ac tau) exp(M(tau)) V0 and F = first component.
     """
-    tsys = build_system(sys, phi0)
+    v0 = build_system(sys, phi0)
     g2 = sys.epsilon_sq
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.empty(ts.shape)
     for i, ti in enumerate(ts):
         tau = sys.alpha * ti
         prop = mat_exp(AC_MATRIX * tau) @ mat_exp(_wn_magnus_generator(g2, tau))
-        out[i] = (prop @ tsys.v0)[0].real
+        out[i] = (prop @ v0)[0].real
     return out if np.asarray(t).ndim else float(out[0])
 
 
@@ -188,12 +175,12 @@ def wn_exact_mean(sys, phi0, t):
     The mean of the closed system solves a constant-coefficient ODE:
     E[V](t) = exp((alpha Ac + (gamma^2/2) B^2) t) V0.
     """
-    tsys = build_system(sys, phi0)
+    v0 = build_system(sys, phi0)
     gen = sys.alpha * AC_MATRIX + 0.5 * sys.gamma**2 * B2_MATRIX
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.empty(ts.shape)
     for i, ti in enumerate(ts):
-        out[i] = (mat_exp(gen * ti) @ tsys.v0)[0].real
+        out[i] = (mat_exp(gen * ti) @ v0)[0].real
     return out if np.asarray(t).ndim else float(out[0])
 
 
@@ -224,7 +211,7 @@ def ou_second_order_mean(sys, phi0, model, t, n_nodes=400):
         raise ValueError("second-order correction applies to OU noise")
     if abs(model.gamma - sys.gamma) > 1e-12:
         raise ValueError("model gamma disagrees with the system gamma")
-    tsys = build_system(sys, phi0)
+    v0 = build_system(sys, phi0)
     tau = sys.alpha * t
     g2 = sys.epsilon_sq
     kh = model.k / sys.alpha
@@ -250,5 +237,5 @@ def ou_second_order_mean(sys, phi0, model, t, n_nodes=400):
 
     eu = np.eye(10) + _wn_magnus_generator(g2, tau)
     eu += b2 * B2_MATRIX + bk * BK_MATRIX + k2 * K2_MATRIX
-    value = float((mat_exp(AC_MATRIX * tau) @ eu @ tsys.v0)[0].real)
+    value = float((mat_exp(AC_MATRIX * tau) @ eu @ v0)[0].real)
     return ApproxMean(value=value, in_range=0.0 <= value <= 1.0)

@@ -63,6 +63,14 @@ _ALLOWED_KEYS = {
     },
     "output": {"dir", "t_slices", "scan_t"},
 }
+# Keys that only some kinds read; setting one for another kind is an error,
+# not a value silently ignored.
+_KIND_KEYS = {
+    ("scenario", "noise_op"): set(KINDS) - {"twoqubit"},
+    ("scenario", "base_op"): {"twoqubit"},
+    ("output", "t_slices"): {"distribution"},
+    ("output", "scan_t"): {"approx-order"},
+}
 
 
 # Ceilings on the work one run may request, checked at resolve before any
@@ -153,6 +161,9 @@ def resolve(cfg, label="custom"):
     kind = _get(cfg, "scenario", "kind")
     if kind not in KINDS:
         raise ConfigError(f"scenario kind must be one of {KINDS}, got {kind!r}")
+    for (section, key), kinds in _KIND_KEYS.items():
+        if key in cfg.get(section, {}) and kind not in kinds:
+            raise ConfigError(f"[{section}] {key} is not read by {kind!r} scenarios")
 
     try:
         model = noise_mod.NoiseModel(
@@ -299,11 +310,11 @@ def _check_step_map(scn):
     """Reject values so large that the SDE step itself overflows, and an
     OU step that amplifies the noise (|x'/x| > 1, i.e. k*dt > 2)."""
     with np.errstate(all="ignore"):
-        R, (ax, an) = sde_mod._step_map(
+        M, (ax, an) = sde_mod._step_map(
             scn.hamiltonian(), scn.noise_operator(), scn.model,
             scn.sim.scheme, scn.sim.dt,
         )
-        finite = np.isfinite(R).all() and math.isfinite(ax) and math.isfinite(an)
+        finite = np.isfinite(M).all() and math.isfinite(ax) and math.isfinite(an)
     g, k, a, dt = scn.model.gamma, scn.model.k, scn.alpha, scn.sim.dt
     if not finite:
         raise ConfigError(f"gamma = {g:g}, k = {k:g} or the drive (alpha = {a:g}) "
@@ -487,6 +498,8 @@ def _write_artifacts(result, diagnostics):
             "aborted": result.sim.aborted,
             "max_norm_drift": result.sim.max_norm_drift,
             "max_range_violation": result.sim.max_range_violation,
+            # "diagonal" when the SDE stepped only shift 0 (H and S
+            # commute), "dense" when it stepped more (sde.SimulationResult)
             "sde_kernel": result.sim.kernel,
             **diagnostics,
         },

@@ -9,39 +9,42 @@ with a single Brownian driver W shared by both blocks.  White noise is
 k = 0.  Schemes: Euler-Maruyama and the explicit weak second-order
 Platen scheme.  Both steps are linear in psi and polynomials of degree
 <= 2 in (X, N), so a run builds its step once as a fixed map
-(`_step_map`) and keeps all paths in real layout, a (2d, paths) array
-of rows [Re psi; Im psi]: a step is one real matmul and a weighted sum
-over the monomials.  This module is the independent check on every
-closed-form law in the package: it never consults them.
+(`_step_map`): psi' = sum_m w_m M_m psi over the monomial weights w_m.
+This module is the independent check on every closed-form law in the
+package: it never consults them.
 
-The step loop keeps only the linear update of psi.  X obeys
-x' = ax x + an N and never reads psi, so the run goes in chunks of
-CHUNK_VALUES path-steps: each chunk first computes its X path and
-monomial weights, then steps psi into a stack of the chunk's
+A run steps the coordinates C = V'psi in a basis V of eigenvectors of S
+that also diagonalizes H within S's degenerate eigenspaces
+(`_eigenbasis`).  In V each step matrix L_m = V'M_mV is read by its
+wrapped diagonals L_m[i, (i + o) mod d], and a step is
+
+    C' = sum_o G_o * roll_o(C),   G_o = sum_m w_m L_m[i, (i + o) mod d]
+
+over the shifts o that carry an entry above 1e-12 of the largest entry
+of some L_m.  When H and S commute, the pathwise state is
+exp(-iHt) exp(-iS dX) phi0, every L_m is diagonal and only o = 0 is
+left: a step is one elementwise complex multiply.  H = X, S = Z steps
+the shifts {0, 1}.  `step` is the reference: one plain step of psi in
+the computational basis.
+
+The step loop keeps only this linear update.  X obeys x' = ax x + an N
+and never reads psi, so the run goes in chunks of CHUNK_VALUES
+path-steps: each chunk first computes its X path, its monomial weights
+and every step's factors G_o, then steps C into a stack of the chunk's
 unnormalized states.  Dividing by a positive scalar commutes with a
 linear map, so the renormalized state at any step is the stack's entry
 divided by its norm, and the norm a renormalized step produces is the
 ratio of consecutive norms.  One pass over the stack after the loop
 then gives the norms, the abort test (non-finite or > ABORT_NORM norm,
 non-finite X), the norm drift, and the fidelities and kept states at
-the recorded steps.  A renormalizing run rescales the states in the loop
-only every _RESCALE_EVERY steps, at fixed step numbers, so the output
-does not depend on the chunk length.  A path that dies inside a chunk
-runs on to the chunk's end, silently, and its rows are dropped.  The
-noiseless targets at all recorded times come from one eigendecomposition
-of H.
-
-When H and S commute, the pathwise state is exp(-iHt) exp(-iS dX) phi0
-and every M_m is diagonal in a joint eigenbasis V of H and S
-(`_eigenbasis`).  Such a run steps the coordinates V'psi instead: each
-chunk forms every step's factors sum_m w_m lam_m in one product, and a
-step is one elementwise complex multiply.  The run takes this diagonal
-kernel only when every V'M_mV is diagonal to 1e-12 of its largest entry,
-and the dense one otherwise; `step` is the dense reference.  Both share
-the noise path, the pass over the norms and the recording, which reads
-the diagonal kernel's states in a real layout of their own and maps kept
-states back with V at the end.  F at t = 0 is computed from phi0 itself
-for both, so it is exactly 1 for a basis state at H = 0.
+the recorded steps; kept states are mapped back to psi with V at the
+end.  A renormalizing run rescales the states in the loop only every
+_RESCALE_EVERY steps, at fixed step numbers, so the output does not
+depend on the chunk length.  A path that dies inside a chunk runs on to
+the chunk's end, silently, and its rows are dropped.  The noiseless
+targets at all recorded times come from one eigendecomposition of H.
+F at t = 0 is computed from phi0 itself, so it is exactly 1 for a basis
+state at H = 0.
 
 Reproducibility: path i draws from its own Philox(master_seed, i)
 stream, in a fixed order (initial noise value first, then one normal
@@ -74,10 +77,10 @@ TIME_BLOCK = 2048
 # output does not depend on this.
 BLOCK_NORMALS = 2**20
 # Path-steps per chunk of the step loop (see above).  A chunk stores its
-# weights (48 bytes per path-step) and its unnormalized states (16 d bytes
-# per path-step), and the diagonal kernel its step factors (16 d bytes
-# more): 660 KB at d = 2 dense, 920 KB at d = 2 and 1.4 MB at d = 4
-# diagonal.  The output does not depend on it.
+# weights (48 bytes per path-step), its unnormalized states (16 d bytes per
+# path-step) and its step factors (16 d bytes per path-step and shift):
+# 920 KB at d = 2 and 1.4 MB at d = 4 with the one shift of a commuting
+# run, 1.2 MB at d = 2 with two.  The output does not depend on it.
 CHUNK_VALUES = 2**13
 # A renormalizing run rescales psi only at step numbers divisible by this.
 # A live path's norm changes by at most ABORT_NORM per step, so between
@@ -154,7 +157,7 @@ class SimulationResult:
     aborted: tuple                # ((path index, step index), ...)
     max_norm_drift: float
     max_range_violation: float
-    kernel: str                   # the step kernel that ran: "dense" or "diagonal"
+    kernel: str                   # "diagonal" if only shift 0 was stepped, else "dense"
 
 
 def _check_ops(H, S, d):
@@ -166,13 +169,12 @@ def _check_ops(H, S, d):
 
 
 def _step_map(H, S, model, scheme, dt):
-    """The scheme's step as one fixed map, built once per run: (R, (ax, an)).
+    """The scheme's step as one fixed map, built once per run: (M, (ax, an)).
 
     With D = -iH - (gamma^2/2) S'S, E = ik S and B = -i gamma S the step is
     psi' = sum_m w_m M_m psi over the monomials w = (1, x, N, x^2, xN, N^2)
-    (Euler-Maruyama stops at N), and x' = ax x + an N.  R stacks the real
-    forms [[Re M, -Im M], [Im M, Re M]] of the M_m, so R @ psi gives every
-    term at once for psi in real layout: (2d, paths) rows [Re psi; Im psi].
+    (Euler-Maruyama stops at N), and x' = ax x + an N.  M is the complex
+    (terms, d, d) stack of the M_m.
     """
     g, k = model.gamma, model.k
     D, E, B = (-1j) * H - 0.5 * g * g * (S.conj().T @ S), (1j * k) * S, (-1j * g) * S
@@ -194,10 +196,7 @@ def _step_map(H, S, model, scheme, dt):
             0.5 * h * c * q * EB + 0.5 * h * BB,
         )
         lin = (1.0 - 0.5 * k * h * (1 + p), q * (1.0 - 0.5 * k * h))
-    M = np.array(mats)
-    R = np.concatenate([np.concatenate([M.real, -M.imag], axis=2),
-                        np.concatenate([M.imag, M.real], axis=2)], axis=1)
-    return R.reshape(-1, 2 * len(H)), lin
+    return np.array(mats), lin
 
 
 def _weights(x, N, terms, out=None):
@@ -212,17 +211,6 @@ def _weights(x, N, terms, out=None):
     return np.stack(w, axis=-2, out=out)
 
 
-def _advance(R, psi, w, out=None, scratch=None):
-    """One linear step sum_m w_m M_m psi of a real-layout (2d, paths) block.
-
-    w is the step's (terms, paths) monomial weights; `out` may name the
-    (2d, paths) array to write into and `scratch` a (terms * 2d, paths)
-    array for R @ psi.
-    """
-    y = np.matmul(R, psi, out=scratch)
-    return np.einsum("mjp,mp->jp", y.reshape(len(w), *psi.shape), w, out=out)
-
-
 def _sq_norms(a):
     """Squared norms over axis -2 of real-layout states.
 
@@ -235,18 +223,15 @@ def _sq_norms(a):
     return out
 
 
-def _real(psi):
-    return np.concatenate([psi.real, psi.imag])
+def _eigenbasis(M, H, S):
+    """The step map in a basis V of eigenvectors of S: (V, shifts, lam).
 
-
-def _eigenbasis(R, H, S):
-    """A joint eigenbasis V of H and S in which every step matrix is diagonal.
-
-    V diagonalizes S, and H within each of S's degenerate eigenspaces.
-    Returns (V, lam), lam the (terms, 2d) real array of the M_m's diagonals
-    in V with Re and Im interleaved, or None when some V'M_mV has an
-    off-diagonal entry above 1e-12 of its largest one (H and S do not
-    commute).  The M_m are read back from R, the map the dense kernel runs.
+    V diagonalizes S, and H within each of S's degenerate eigenspaces, so
+    every L_m = V'M_mV is diagonal when H and S commute.  lam[j] holds the
+    wrapped diagonals L_m[i, (i + shifts[j]) mod d] of all the L_m, as a
+    (len(shifts), terms, 2d) real array with Re and Im interleaved.
+    shifts is 0 followed by every other shift with an entry above 1e-12 of
+    the largest entry of some L_m.
     """
     d = len(H)
     s, V = np.linalg.eigh(S)
@@ -254,28 +239,22 @@ def _eigenbasis(R, H, S):
     for block in np.split(np.arange(d), cuts):
         W = V[:, block]
         V[:, block] = W @ np.linalg.eigh(W.conj().T @ H @ W)[1]
-    R = R.reshape(-1, 2 * d, 2 * d)
-    L = V.conj().T @ (R[:, :d, :d] + 1j * R[:, d:, :d]) @ V
-    lam = L.diagonal(axis1=1, axis2=2)
-    off = np.abs(L - lam[:, :, None] * np.eye(d)).max(axis=(1, 2))
-    if np.any(off > 1e-12 * np.abs(L).max(axis=(1, 2))):
-        return None
-    return V, np.ascontiguousarray(lam).view(float)
+    L = V.conj().T @ M @ V
+    i = np.arange(d)
+    lam = L[:, i, (i + i[:, None]) % d].transpose(1, 0, 2)
+    tol = 1e-12 * np.abs(L).max(axis=(1, 2))[:, None]
+    shifts = [0] + [o for o in range(1, d) if np.any(np.abs(lam[o]) > tol)]
+    return V, shifts, np.ascontiguousarray(lam[shifts]).view(float)
 
 
-def _overlap_rows(phis, interleaved):
+def _overlap_rows(phis):
     """Rows giving <phi|psi> for states psi in real layout: (..., 2, 2d).
 
-    Row 0 dotted with psi is Re <phi|psi> and row 1 is Im <phi|psi>.  The
-    layout is [Re; Im] (the dense kernel's) or, if `interleaved`, Re and Im
-    of each component side by side (the diagonal kernel's).
+    The layout holds Re and Im of each component side by side.  Row 0
+    dotted with psi is Re <phi|psi> and row 1 is Im <phi|psi>.
     """
-    rows = [phis, 1j * phis]
-    if interleaved:
-        rows = [np.ascontiguousarray(r).view(float) for r in rows]
-    else:
-        rows = [np.concatenate([r.real, r.imag], axis=-1) for r in rows]
-    return np.stack(rows, axis=-2)
+    return np.stack([np.ascontiguousarray(r).view(float) for r in (phis, 1j * phis)],
+                    axis=-2)
 
 
 def _overlap_sq(P, T):
@@ -293,22 +272,23 @@ def _overlap_sq(P, T):
 def step(Y, H, S, model, config, stream, normal=None):
     """One scheme step of the joint SDE; a single shared normal draw.
 
-    `normal` overrides the draw (used by deterministic tests).  Raises
-    PathAbortError on NaN or norm blow-up past 1.5.
+    The reference for `simulate_paths`: psi' = sum_m w_m (M_m psi) in the
+    computational basis.  `normal` overrides the draw (used by
+    deterministic tests).  Raises PathAbortError on NaN or norm blow-up
+    past 1.5.
     """
     psi = np.asarray(Y.psi, dtype=complex)
-    d = psi.shape[0]
-    H, S = _check_ops(H, S, d)
+    H, S = _check_ops(H, S, psi.shape[0])
     N = float(stream.standard_normal()) if normal is None else float(normal)
-    R, (ax, an) = _step_map(H, S, model, config.scheme, config.dt)
-    w = _weights(np.array([float(Y.x)]), np.array([N]), len(R) // (2 * d))
-    psi1 = _advance(R, _real(psi)[:, None], w)
-    norm = math.sqrt(_sq_norms(psi1)[0])
+    M, (ax, an) = _step_map(H, S, model, config.scheme, config.dt)
+    w = _weights(np.array([float(Y.x)]), np.array([N]), len(M))[:, 0]
+    psi1 = sum(wm * (Mm @ psi) for wm, Mm in zip(w, M))
+    norm = float(np.linalg.norm(psi1))
     if not np.all(np.isfinite(psi1)) or norm > ABORT_NORM:
         raise PathAbortError(f"path aborted: norm {norm:.4g}")
     if config.renormalize and norm > 0:
         psi1 /= norm
-    return JointState(psi=psi1[:d, 0] + 1j * psi1[d:, 0], x=ax * float(Y.x) + an * N)
+    return JointState(psi=psi1, x=ax * float(Y.x) + an * N)
 
 
 def target_evolution(H, phi0, times):
@@ -348,9 +328,10 @@ def simulate_paths(H, S, model, phi0, config):
     times = np.arange(n_rec) * (config.dt * rec_every)
 
     phis = target_evolution(H, phi0, times)
-    R, (ax, an) = _step_map(H, S, model, config.scheme, config.dt)
-    terms = len(R) // (2 * d)
-    basis = _eigenbasis(R, H, S)
+    M, (ax, an) = _step_map(H, S, model, config.scheme, config.dt)
+    terms = len(M)
+    V, shifts, lam = _eigenbasis(M, H, S)
+    rolls = [(np.arange(d) + o) % d for o in shifts[1:]]
 
     n_paths = config.n_paths
     fids = np.empty((n_paths, n_rec))
@@ -395,22 +376,18 @@ def simulate_paths(H, S, model, phi0, config):
     chunk = max(1, min(CHUNK_VALUES // n_paths, block, n_steps))
     # The chunk's buffers are allocated once: fresh ones cost page faults.
     W = np.empty((chunk, terms, n_paths))
-    # Psi[s] is the unnormalized state after the chunk's s-th step, in real
-    # layout (2d, paths); row 0 carries the state over from the previous
-    # chunk.  The diagonal kernel steps the coordinates C[s] = V'psi, a
-    # (paths, d) complex array, and Psi views them in real layout.
-    if basis is None:
-        targets = _overlap_rows(phis, interleaved=False)
-        Psi = np.empty((chunk + 1, 2 * d, n_paths))
-        Psi[0] = _real(phi0)[:, None]
-        scratch = np.empty((len(R), n_paths))
-    else:
-        V, lam = basis
-        targets = _overlap_rows(phis @ V.conj(), interleaved=True)
-        G2 = np.empty((chunk, n_paths, 2 * d))
-        C = np.empty((chunk + 1, n_paths, d), dtype=complex)
-        C[0] = V.conj().T @ phi0
-        Psi = np.swapaxes(C.view(float), 1, 2)
+    # The factors of shift 0 and of the other shifts, each shift's in a
+    # contiguous slab, so that a step reads them in one piece
+    G0 = np.empty((chunk, n_paths, 2 * d))
+    G1 = np.empty((chunk, len(rolls), n_paths, 2 * d))
+    rolled = np.empty((n_paths, d), dtype=complex)
+    # C[s] is the unnormalized state after the chunk's s-th step, as the
+    # (paths, d) coordinates V'psi; row 0 carries the state over from the
+    # previous chunk.  Psi views C in real layout, (2d, paths) per step.
+    C = np.empty((chunk + 1, n_paths, d), dtype=complex)
+    C[0] = V.conj().T @ phi0
+    Psi = np.swapaxes(C.view(float), 1, 2)
+    targets = _overlap_rows(phis @ V.conj())
 
     def record(rows, slots, sq, xrows):
         # F = |<phi|psi>|^2 / |psi|^2 (the state is unnormalized); rows of
@@ -431,12 +408,11 @@ def simulate_paths(H, S, model, phi0, config):
     # overflow there; its rows are dropped, so that stays silent.
     with np.errstate(over="ignore", invalid="ignore"):
         record([0], [0], _sq_norms(Psi[:1]), x[None])
-        if basis is not None:
-            # F at t = 0 as the dense kernel gives it (1 for a basis state
-            # and H = 0), which the eigenbasis would give only to round-off
-            P0 = _real(phi0)[None, :, None]
-            f0 = _overlap_sq(P0, _overlap_rows(phis[:1], interleaved=False))
-            fids[:, 0] = (f0 / _sq_norms(P0) if renorm else f0).item()
+        # F at t = 0 from phi0 itself (1 for a basis state and H = 0), which
+        # the coordinates V'phi0 would give only to round-off
+        P0 = np.ascontiguousarray(phi0).view(float)[None, :, None]
+        f0 = _overlap_sq(P0, _overlap_rows(phis[:1]))
+        fids[:, 0] = (f0 / _sq_norms(P0) if renorm else f0).item()
         while step_no < n_steps:
             if step_no > 0:
                 normals = draw_block(step_no)
@@ -450,21 +426,23 @@ def simulate_paths(H, S, model, phi0, config):
                 for prev, nxt, aN in zip(xp, xp[1:], an * N):
                     np.multiply(prev, ax, out=nxt)
                     np.add(nxt, aN, out=nxt)
-                w = _weights(xp[:-1], N, terms, out=W[:nc])
-                if basis is not None:
-                    # every step's factors sum_m w_m lam_m, (steps, paths, d),
-                    # as one small product per step, so that a step's factors
-                    # do not depend on the chunk length
-                    G = np.matmul(w.transpose(0, 2, 1), lam, out=G2[:nc]).view(complex)
+                w = _weights(xp[:-1], N, terms, out=W[:nc]).transpose(0, 2, 1)
+                # every step's factors G_o = sum_m w_m lam_m,o, as one small
+                # product per step, so that a step's factors do not depend
+                # on the chunk length
+                G = np.matmul(w, lam[0], out=G0[:nc]).view(complex)
+                Gx = np.matmul(w[:, None], lam[1:], out=G1[:nc]).view(complex)
                 # Only the linear update runs per step.  A renormalizing run
                 # rescales at absolute step numbers divisible by
                 # _RESCALE_EVERY, keeping the norm before the rescale.
                 rescaled = {}
                 for s in range(nc):
-                    if basis is None:
-                        _advance(R, Psi[s], w[s], Psi[s + 1], scratch)
-                    else:
-                        np.multiply(C[s], G[s], out=C[s + 1])
+                    np.multiply(C[s], G[s], out=C[s + 1])
+                    if rolls:
+                        for g, roll in zip(Gx[s], rolls):
+                            C[s].take(roll, axis=1, out=rolled)
+                            rolled *= g
+                            C[s + 1] += rolled
                     if renorm and (step_no + s + 1) % _RESCALE_EVERY == 0:
                         n = np.sqrt(_sq_norms(Psi[s + 1]))
                         np.divide(Psi[s + 1], n, out=Psi[s + 1], where=n > 0)
@@ -505,11 +483,7 @@ def simulate_paths(H, S, model, phi0, config):
     rows = np.flatnonzero(alive)
     fid_rows = fids[rows]
     if states is not None:
-        states = states[rows]
-        if basis is None:
-            states = states[..., :d] + 1j * states[..., d:]
-        else:
-            states = states.view(complex) @ V.T
+        states = states[rows].view(complex) @ V.T
 
     violation = 0.0
     if fid_rows.size:
@@ -546,5 +520,5 @@ def simulate_paths(H, S, model, phi0, config):
         aborted=aborted,
         max_norm_drift=drift,
         max_range_violation=violation,
-        kernel="dense" if basis is None else "diagonal",
+        kernel="diagonal" if len(shifts) == 1 else "dense",
     )

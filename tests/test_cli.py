@@ -239,6 +239,12 @@ BAD_VALUES = {
         "t = 0.5", "t = 1").replace("record_every = 10", "record_every = 1"),
     "recorded_values": TINY_INI.replace("n_paths = 40", "n_paths = 2000000"),
     "closure_scan_steps": APPROX_INI.replace("[output]", "[output]\nscan_t = 10000"),
+    # keys the kind does not read
+    "noise_op_not_read_by_twoqubit": TINY_INI.replace("kind = pauli", "kind = twoqubit").replace(
+        "state = 0", "state = 00").replace("noise_op = X", "base_op = X\nnoise_op = Z"),
+    "base_op_not_read_by_pauli": TINY_INI.replace("noise_op = X", "noise_op = X\nbase_op = X"),
+    "t_slices_not_read_by_pauli": TINY_INI.replace("[output]", "[output]\nt_slices = 0.1"),
+    "scan_t_not_read_by_pauli": TINY_INI.replace("[output]", "[output]\nscan_t = 0.5"),
 }
 
 
@@ -256,6 +262,9 @@ def test_bad_values_rejected_before_any_compute(tmp_path, capsys, case):
         assert "k*dt = 10 > 2" in err[0] and "by 41 per step" in err[0], err
     if case.startswith(("path_steps", "recorded_values", "closure_scan")):
         assert "exceed MAX_" in err[0], err
+    if "_not_read_by_" in case:
+        key, kind = case.split("_not_read_by_")
+        assert f"{key} is not read by {kind!r} scenarios" in err[0], err
     # the output directory is made only once the simulation has run
     assert not out.exists()
 
@@ -306,13 +315,22 @@ RESIZED = {
 }
 
 
+def _reads(kind, key):
+    """Whether a scenario of this kind reads the (section, key)."""
+    return kind in scenario._KIND_KEYS.get(key, scenario.KINDS)
+
+
 @st.composite
 def _configs(draw, fuzz_sized):
     """Accepted values, some keys left out, and up to three values replaced
-    by arbitrary text; the sized keys are always set."""
-    flat = {key: draw(st.sampled_from(vals)) for key, vals in VALID.items()
-            if key == ("scenario", "kind") or draw(st.booleans())}
-    flat.update((key, draw(st.sampled_from(vals))) for key, vals in SIZED.items())
+    by arbitrary text (any key, for any kind); the sized keys are always
+    set.  Accepted values go only to keys the drawn kind reads."""
+    kind = draw(st.sampled_from(VALID[("scenario", "kind")]))
+    flat = {("scenario", "kind"): kind}
+    flat.update((key, draw(st.sampled_from(vals))) for key, vals in VALID.items()
+                if key not in flat and _reads(kind, key) and draw(st.booleans()))
+    flat.update((key, draw(st.sampled_from(vals))) for key, vals in SIZED.items()
+                if _reads(kind, key))
     fuzzable = sorted(VALID) + (sorted(SIZED) if fuzz_sized else [])
     for key in draw(st.lists(st.sampled_from(fuzzable), max_size=3)):
         flat[key] = draw(st.text(max_size=10))
@@ -324,11 +342,12 @@ def _configs(draw, fuzz_sized):
 
 @st.composite
 def _resized_presets(draw):
-    """A preset with its sizes drawn from RESIZED."""
+    """A preset with its sizes drawn from RESIZED, for the keys it reads."""
     name = draw(st.sampled_from(sorted(scenario.PRESETS)))
     cfg = {section: dict(entries) for section, entries in scenario.PRESETS[name].items()}
     for (section, key), vals in RESIZED.items():
-        cfg[section][key] = draw(st.sampled_from(vals))
+        if _reads(cfg["scenario"]["kind"], (section, key)):
+            cfg[section][key] = draw(st.sampled_from(vals))
     return cfg
 
 

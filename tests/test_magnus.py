@@ -100,11 +100,11 @@ def test_bloch_triple_signs():
 
 def test_build_system_v0():
     sys = magnus.system_for_state(1.0, 0.4, ("X", "Y", "Z"), KET0)
-    ts = magnus.build_system(sys, KET0)
-    assert np.allclose(ts.v0, [1, 0, 0, 1, 0, 0, 0, 0, 0, 0])
+    v0 = magnus.build_system(sys, KET0)
+    assert np.allclose(v0, [1, 0, 0, 1, 0, 0, 0, 0, 0, 0])
     sysb = magnus.system_for_state(1.0, 0.4, ("X", "Z", "Y"), KET0)
-    tsb = magnus.build_system(sysb, KET0)
-    assert np.allclose(tsb.v0, [1, 0, 1, 0, 0, 0, 0, 0, 0, 0])
+    v0b = magnus.build_system(sysb, KET0)
+    assert np.allclose(v0b, [1, 0, 1, 0, 0, 0, 0, 0, 0, 0])
     with pytest.raises(ValueError):
         magnus.build_system(sys, np.array([1.0, 1.0]))  # not normalized
 
@@ -209,7 +209,7 @@ def test_ou_second_order_against_monte_carlo():
 
 def ou_second_order_reference(sys, phi0, model, t, n_nodes=400):
     """The matrix-valued Simpson loop: two 10x10 anticommutators per node."""
-    tsys = magnus.build_system(sys, phi0)
+    v0 = magnus.build_system(sys, phi0)
     tau, g2, kh = sys.alpha * t, sys.epsilon_sq, model.k / sys.alpha
     if tau == 0:
         return magnus.ApproxMean(value=1.0, in_range=True)
@@ -233,7 +233,7 @@ def ou_second_order_reference(sys, phi0, model, t, n_nodes=400):
     for j in range(1, n_nodes):
         acc = acc + (4.0 if j % 2 else 2.0) * outer_integrand(j * h)
     eu = np.eye(10) + magnus._wn_magnus_generator(g2, tau) + (h / 3.0) * acc
-    value = float((qstate.mat_exp(magnus.AC_MATRIX * tau) @ eu @ tsys.v0)[0].real)
+    value = float((qstate.mat_exp(magnus.AC_MATRIX * tau) @ eu @ v0)[0].real)
     return magnus.ApproxMean(value=value, in_range=0.0 <= value <= 1.0)
 
 

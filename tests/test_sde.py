@@ -6,6 +6,7 @@ import pytest
 from sselab import laws, noise, qstate, sde
 
 ZERO_H = np.zeros((2, 2), dtype=complex)
+_I2 = np.eye(2)
 KET0 = np.array([1.0, 0.0], dtype=complex)
 
 
@@ -123,6 +124,8 @@ def test_step_map_matches_scheme_formula(scheme):
 def test_simulate_paths_matches_step_loop(scheme):
     """The batched kernel against step() on each path's own Philox stream.
 
+    Random H and S make every wrapped diagonal of the step matrices
+    nonzero.  S = Z (x) I with H = X (x) I leaves only the shifts 0 and 2.
     The 150-step run passes two of the points where a renormalizing run
     rescales its unnormalized states (steps 64 and 128).
     """
@@ -131,24 +134,30 @@ def test_simulate_paths_matches_step_loop(scheme):
     model = noise.ou_noise(0.3, 0.7, init=noise.STATIONARY)
     phi0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     phi0 /= np.linalg.norm(phi0)
-    for T in (0.2, 1.5):
-        cfg = sde.SimConfig(dt=0.01, T=T, n_paths=3, master_seed=12, scheme=scheme,
-                            keep_states=True)
-        res = sde.simulate_paths(H, S, model, phi0, cfg)
-        assert res.kernel == "dense"
-        assert res.states.shape == (3, cfg.n_steps + 1, 4)
-        for i in range(3):
-            stream = np.random.Generator(
-                np.random.Philox(key=np.array([12, i], dtype=np.uint64)))
-            Y = sde.JointState(psi=phi0, x=noise.draw_initial(model, stream))
-            for j in range(cfg.n_steps + 1):
-                assert np.max(np.abs(res.states[i, j] - Y.psi)) < 1e-13
-                assert abs(res.xs[i, j] - Y.x) < 1e-13
-                if j < cfg.n_steps:
-                    Y = sde.step(Y, H, S, model, cfg, stream)
+    cases = (((H, S), [0, 1, 2, 3]),
+             ((np.kron(qstate.SIGMA_X, _I2), np.kron(qstate.SIGMA_Z, _I2)), [0, 2]))
+    for (H, S), shifts in cases:
+        M = sde._step_map(H, S, model, scheme, 0.01)[0]
+        assert sde._eigenbasis(M, H, S)[1] == shifts
+        for T in (0.2, 1.5):
+            cfg = sde.SimConfig(dt=0.01, T=T, n_paths=3, master_seed=12, scheme=scheme,
+                                keep_states=True)
+            res = sde.simulate_paths(H, S, model, phi0, cfg)
+            assert res.kernel == "dense"
+            assert res.states.shape == (3, cfg.n_steps + 1, 4)
+            targets = sde.target_evolution(H, phi0, res.times)
+            for i in range(3):
+                stream = np.random.Generator(
+                    np.random.Philox(key=np.array([12, i], dtype=np.uint64)))
+                Y = sde.JointState(psi=phi0, x=noise.draw_initial(model, stream))
+                for j in range(cfg.n_steps + 1):
+                    assert np.max(np.abs(res.states[i, j] - Y.psi)) < 1e-13
+                    assert abs(res.xs[i, j] - Y.x) < 1e-13
+                    assert abs(res.fidelities[i, j] - abs(np.vdot(targets[j], Y.psi)) ** 2) < 1e-13
+                    if j < cfg.n_steps:
+                        Y = sde.step(Y, H, S, model, cfg, stream)
 
 
-_I2 = np.eye(2)
 _XX = np.kron(qstate.SIGMA_X, qstate.SIGMA_X)
 # Each pair commutes.  Z (x) I has two double eigenvalues, and eigh returns
 # the standard basis, in which I (x) X is not diagonal: only the basis that
