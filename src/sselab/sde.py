@@ -24,8 +24,8 @@ over the shifts o that carry an entry above 1e-12 of the largest entry
 of some L_m.  When H and S commute, the pathwise state is
 exp(-iHt) exp(-iS dX) phi0, every L_m is diagonal and only o = 0 is
 left: a step is one elementwise complex multiply.  H = X, S = Z steps
-the shifts {0, 1}.  `step` is the reference: one plain step of psi in
-the computational basis.
+the shifts {0, 1}.  tests/test_sde.py keeps the reference: one plain
+step of psi in the computational basis.
 
 The step loop keeps only this linear update.  X obeys x' = ax x + an N
 and never reads psi, so the run goes in chunks of CHUNK_VALUES
@@ -94,12 +94,6 @@ class PathAbortError(RuntimeError):
 
 class FidelityRangeError(RuntimeError):
     """Raised when pre-clamp fidelities leave [0,1] by more than 1e-6."""
-
-
-@dataclass
-class JointState:
-    psi: np.ndarray
-    x: float
 
 
 @dataclass(frozen=True)
@@ -267,28 +261,6 @@ def _overlap_sq(P, T):
     for j in range(1, P.shape[1]):
         ov += T[:, :, j, None] * P[:, None, j]
     return ov[:, 0] ** 2 + ov[:, 1] ** 2
-
-
-def step(Y, H, S, model, config, stream, normal=None):
-    """One scheme step of the joint SDE; a single shared normal draw.
-
-    The reference for `simulate_paths`: psi' = sum_m w_m (M_m psi) in the
-    computational basis.  `normal` overrides the draw (used by
-    deterministic tests).  Raises PathAbortError on NaN or norm blow-up
-    past 1.5.
-    """
-    psi = np.asarray(Y.psi, dtype=complex)
-    H, S = _check_ops(H, S, psi.shape[0])
-    N = float(stream.standard_normal()) if normal is None else float(normal)
-    M, (ax, an) = _step_map(H, S, model, config.scheme, config.dt)
-    w = _weights(np.array([float(Y.x)]), np.array([N]), len(M))[:, 0]
-    psi1 = sum(wm * (Mm @ psi) for wm, Mm in zip(w, M))
-    norm = float(np.linalg.norm(psi1))
-    if not np.all(np.isfinite(psi1)) or norm > ABORT_NORM:
-        raise PathAbortError(f"path aborted: norm {norm:.4g}")
-    if config.renormalize and norm > 0:
-        psi1 /= norm
-    return JointState(psi=psi1, x=ax * float(Y.x) + an * N)
 
 
 def target_evolution(H, phi0, times):

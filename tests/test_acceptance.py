@@ -14,6 +14,7 @@ import pytest
 import scipy.linalg
 
 from sselab import approx, cli, laws, magnus, noise, qstate, scenario, sde, stats
+from test_sde import JointState, step
 
 GAMMA = 0.2
 KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -366,8 +367,8 @@ def _one_step_matrices(scheme, dt):
         for j in range(d):
             e = np.zeros(d, dtype=complex)
             e[j] = 1.0
-            out = sde.step(sde.JointState(psi=e, x=0.0), np.zeros((2, 2)),
-                           qstate.SIGMA_X, model, cfg, None, normal=n_val)
+            out = step(JointState(psi=e, x=0.0), np.zeros((2, 2)),
+                       qstate.SIGMA_X, model, cfg, None, normal=n_val)
             m[:, j] = out.psi
         cols[n_val] = m
     p0 = cols[0.0]

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sselab import approx, laws, noise
 
@@ -174,3 +176,48 @@ def test_closure_scan_working_set_stays_flat():
     finally:
         tracemalloc.stop()
     assert peak < 2e6, peak
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    make=st.sampled_from([approx.first_order_system, approx.second_order_system]),
+    g=st.floats(0.0, 1.0), k=st.floats(0.0, 2.0), s0=st.floats(0.0, 1.0),
+    steps=st.sampled_from([255, 256, 257, 513]),
+)
+def test_integrate_closure_matches_rk4_loop_around_chunk_edges(make, g, k, s0, steps):
+    system = make(g, k, s0)
+    T = steps * approx.DEFAULT_DT
+    series = approx.integrate_closure(system, T)
+    want, residue = rk4_loop(system, T)
+    assert series.times.shape == want.shape == (steps + 1,)
+    assert np.abs(series.fidelity - want).max() <= 1e-12
+    assert series.imag_residue == residue
+
+
+@pytest.mark.parametrize("make, matrix", [
+    (approx.first_order_system, approx.first_order_matrix),
+    (approx.second_order_system, approx.second_order_matrix),
+])
+def test_closure_matrix_is_a_plus_c_times_b(make, matrix):
+    """The scan builds its steps from a, c(t) and B's last row alone; the
+    pinned matrices must be exactly that split."""
+    g, k = 0.2, 0.1
+    system = make(g, k, 0.0)
+    dim = len(system.v0)
+    ts = np.array([0.0, 0.3, 2.0, 40.0])
+    c = k * approx.noise_second_moment(ts, g, k) - system.order * g * g
+    b = np.zeros((dim, dim), dtype=complex)
+    b[-1, -3], b[-1, -2] = 2j, -2j
+    want = system.a + c[:, None, None] * b
+    assert system.a.shape == (dim, dim)
+    assert np.array_equal(system.c_fn(ts), c)
+    assert np.array_equal(matrix(ts, g, k), want)
+    assert np.array_equal(system.matrix_fn(ts), want)
+    for t, m in zip(ts, want):
+        assert np.array_equal(matrix(float(t), g, k), m)
+
+
+@pytest.mark.parametrize("T", [-0.001, -0.5, math.nan, math.inf, -math.inf])
+def test_integrate_closure_rejects_bad_T(T):
+    with pytest.raises(ValueError, match=r"T >= 0.*T="):
+        approx.integrate_closure(approx.first_order_system(0.2, 0.1, 0.0), T)

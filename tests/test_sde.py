@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,6 +9,33 @@ from sselab import laws, noise, qstate, sde
 ZERO_H = np.zeros((2, 2), dtype=complex)
 _I2 = np.eye(2)
 KET0 = np.array([1.0, 0.0], dtype=complex)
+
+
+@dataclass
+class JointState:
+    psi: np.ndarray
+    x: float
+
+
+def step(Y, H, S, model, config, stream, normal=None):
+    """One scheme step of the joint SDE; a single shared normal draw.
+
+    The dense reference for `sde.simulate_paths`: psi' = sum_m w_m (M_m psi)
+    in the computational basis, over `sde._step_map`.  `normal` overrides
+    the draw.  Raises PathAbortError on NaN or norm blow-up past 1.5.
+    """
+    psi = np.asarray(Y.psi, dtype=complex)
+    H, S = sde._check_ops(H, S, psi.shape[0])
+    N = float(stream.standard_normal()) if normal is None else float(normal)
+    M, (ax, an) = sde._step_map(H, S, model, config.scheme, config.dt)
+    w = sde._weights(np.array([float(Y.x)]), np.array([N]), len(M))[:, 0]
+    psi1 = sum(wm * (Mm @ psi) for wm, Mm in zip(w, M))
+    norm = float(np.linalg.norm(psi1))
+    if not np.all(np.isfinite(psi1)) or norm > sde.ABORT_NORM:
+        raise sde.PathAbortError(f"path aborted: norm {norm:.4g}")
+    if config.renormalize and norm > 0:
+        psi1 /= norm
+    return JointState(psi=psi1, x=ax * float(Y.x) + an * N)
 
 
 def test_sim_config_validation():
@@ -30,8 +58,8 @@ def test_euler_step_by_hand():
     g, dt, N = 0.2, 1e-3, 0.7
     model = noise.white_noise(g)
     cfg = sde.SimConfig(dt=dt, T=dt, scheme=sde.EULER_MARUYAMA, renormalize=False)
-    Y = sde.JointState(psi=KET0, x=0.0)
-    out = sde.step(Y, ZERO_H, qstate.SIGMA_X, model, cfg, None, normal=N)
+    Y = JointState(psi=KET0, x=0.0)
+    out = step(Y, ZERO_H, qstate.SIGMA_X, model, cfg, None, normal=N)
     want0 = 1.0 - 0.5 * g * g * dt
     want1 = -1j * g * N * math.sqrt(dt)
     assert abs(out.psi[0] - want0) < 1e-15
@@ -48,7 +76,7 @@ def test_platen_step_matches_formula():
     psi0 = np.array([0.8, 0.6j])
     x0 = 0.25
     cfg = sde.SimConfig(dt=dt, T=dt, renormalize=False)
-    out = sde.step(sde.JointState(psi=psi0, x=x0), H, S, model, cfg, None, normal=N)
+    out = step(JointState(psi=psi0, x=x0), H, S, model, cfg, None, normal=N)
 
     def a_fn(psi, x):
         return (-1j) * (H @ psi) + 1j * k * x * (S @ psi) - 0.5 * g * g * psi
@@ -113,8 +141,8 @@ def test_step_map_matches_scheme_formula(scheme):
     psi0 /= np.linalg.norm(psi0)
     cfg = sde.SimConfig(dt=dt, T=dt, scheme=scheme, renormalize=False)
     for N in (-2.3, -0.4, 0.0, 1.1, 3.0):
-        out = sde.step(sde.JointState(psi=psi0, x=x0), H, S, noise.ou_noise(g, k), cfg,
-                       None, normal=N)
+        out = step(JointState(psi=psi0, x=x0), H, S, noise.ou_noise(g, k), cfg,
+                   None, normal=N)
         want, want_x = _scheme_formula(scheme, H, S, g, k, dt, psi0, x0, N)
         assert np.max(np.abs(out.psi - want)) < 1e-13
         assert abs(out.x - want_x) < 1e-13
@@ -149,13 +177,13 @@ def test_simulate_paths_matches_step_loop(scheme):
             for i in range(3):
                 stream = np.random.Generator(
                     np.random.Philox(key=np.array([12, i], dtype=np.uint64)))
-                Y = sde.JointState(psi=phi0, x=noise.draw_initial(model, stream))
+                Y = JointState(psi=phi0, x=noise.draw_initial(model, stream))
                 for j in range(cfg.n_steps + 1):
                     assert np.max(np.abs(res.states[i, j] - Y.psi)) < 1e-13
                     assert abs(res.xs[i, j] - Y.x) < 1e-13
                     assert abs(res.fidelities[i, j] - abs(np.vdot(targets[j], Y.psi)) ** 2) < 1e-13
                     if j < cfg.n_steps:
-                        Y = sde.step(Y, H, S, model, cfg, stream)
+                        Y = step(Y, H, S, model, cfg, stream)
 
 
 _XX = np.kron(qstate.SIGMA_X, qstate.SIGMA_X)
@@ -197,7 +225,7 @@ def test_diagonal_kernel_matches_step_loop(case, scheme, renormalize):
     for i in range(3):
         stream = np.random.Generator(
             np.random.Philox(key=np.array([12, i], dtype=np.uint64)))
-        Y = sde.JointState(psi=phi0, x=noise.draw_initial(model, stream))
+        Y = JointState(psi=phi0, x=noise.draw_initial(model, stream))
         for n in range(cfg.n_steps + 1):
             if n % cfg.record_every == 0:
                 j = n // cfg.record_every
@@ -208,7 +236,7 @@ def test_diagonal_kernel_matches_step_loop(case, scheme, renormalize):
                     f /= np.vdot(Y.psi, Y.psi).real
                 assert abs(res.fidelities[i, j] - f) < 1e-13
             if n < cfg.n_steps:
-                Y = sde.step(Y, H, S, model, cfg, stream)
+                Y = step(Y, H, S, model, cfg, stream)
 
 
 def test_noncommuting_run_takes_the_dense_kernel():
@@ -230,8 +258,8 @@ def test_platen_reduces_to_heun_without_noise():
     dt = 0.05
     cfg = sde.SimConfig(dt=dt, T=dt, renormalize=False)
     psi0 = np.array([0.6, 0.8], dtype=complex)
-    out = sde.step(sde.JointState(psi=psi0, x=0.0), H, np.zeros((2, 2)), model, cfg,
-                   None, normal=1.7)
+    out = step(JointState(psi=psi0, x=0.0), H, np.zeros((2, 2)), model, cfg,
+               None, normal=1.7)
     a0 = -1j * (H @ psi0)
     pred = psi0 + a0 * dt
     want = psi0 + 0.5 * dt * (a0 + (-1j) * (H @ pred))
@@ -242,8 +270,8 @@ def test_step_abort_on_blowup():
     model = noise.white_noise(4.0)
     cfg = sde.SimConfig(dt=0.5, T=0.5, scheme=sde.EULER_MARUYAMA, renormalize=False)
     with pytest.raises(sde.PathAbortError):
-        sde.step(sde.JointState(psi=KET0, x=0.0), ZERO_H, qstate.SIGMA_X, model,
-                 cfg, None, normal=3.0)
+        step(JointState(psi=KET0, x=0.0), ZERO_H, qstate.SIGMA_X, model,
+             cfg, None, normal=3.0)
 
 
 def test_deterministic_heun_order_two():
@@ -255,10 +283,10 @@ def test_deterministic_heun_order_two():
 
     def run(dt):
         cfg = sde.SimConfig(dt=dt, T=T, renormalize=False)
-        Y = sde.JointState(psi=KET0, x=0.0)
+        Y = JointState(psi=KET0, x=0.0)
         stream = np.random.default_rng(0)
         for _ in range(cfg.n_steps):
-            Y = sde.step(Y, H, np.zeros((2, 2)), model, cfg, stream)
+            Y = step(Y, H, np.zeros((2, 2)), model, cfg, stream)
         return np.max(np.abs(Y.psi - exact))
 
     e1, e2 = run(0.01), run(0.005)
@@ -382,11 +410,11 @@ def test_dead_path_overflows_silently():
     for i in range(cfg.n_paths):
         stream = np.random.Generator(
             np.random.Philox(key=np.array([1, i], dtype=np.uint64)))
-        Y = sde.JointState(psi=phi0, x=noise.draw_initial(model, stream))
+        Y = JointState(psi=phi0, x=noise.draw_initial(model, stream))
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 for n in range(1, cfg.n_steps + 1):
-                    Y = sde.step(Y, ZERO_H, qstate.PROJ_1, model, cfg, stream)
+                    Y = step(Y, ZERO_H, qstate.PROJ_1, model, cfg, stream)
                     drift = max(drift, abs(np.linalg.norm(Y.psi) - 1.0))
             except sde.PathAbortError:
                 assert (i, n) in res.aborted
@@ -468,10 +496,10 @@ def test_aborted_paths_within_budget():
     for i, abort_at in res.aborted:
         stream = np.random.Generator(
             np.random.Philox(key=np.array([3, i], dtype=np.uint64)))
-        Y = sde.JointState(psi=KET0, x=noise.draw_initial(model, stream))
+        Y = JointState(psi=KET0, x=noise.draw_initial(model, stream))
         with pytest.raises(sde.PathAbortError):
             for n in range(1, cfg.n_steps + 1):
-                Y = sde.step(Y, ZERO_H, qstate.SIGMA_X, model, cfg, stream)
+                Y = step(Y, ZERO_H, qstate.SIGMA_X, model, cfg, stream)
         assert n == abort_at
     # states, xs and fidelities share their rows
     n_ok = 1000 - len(dead)
