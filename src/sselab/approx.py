@@ -21,12 +21,13 @@ K1 = M(t_i), K2 = M(t_i + h/2)(I + (h/2) K1), and so on.  The scan builds
 unit lower-triangular system [I; -P_0 I; -P_1 I; ...] z = [x_0; 0; ...]
 of bandwidth 2d - 1, which one LAPACK call solves by forward substitution
 (O(n d^2), the loop's own arithmetic).  The working set is one chunk.
+`integrate_closure` imports that LAPACK routine from `scipy.linalg`
+when called, so importing this module does not load scipy.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 DEFAULT_DT = 1e-3
 # Steps per batched pass: long enough to amortise the numpy calls, short
@@ -141,6 +142,8 @@ def integrate_closure(system, T, dt=DEFAULT_DT):
 
     fidelity[i] = Re x_1(t_i); imag_residue = max_t |Im x_1(t)|.
     """
+    from scipy.linalg import lapack  # here, so commuting runs never load scipy.linalg
+
     if not (0.0 <= T < np.inf and 0.0 < dt < np.inf):
         raise ValueError(f"need a finite T >= 0 and dt > 0, got T={T!r}, dt={dt!r}")
     n_steps = int(round(T / dt))

@@ -65,7 +65,8 @@ def cmd_run(args):
         return 1
     try:
         result = scenario_mod.run_scenario(scn)
-    except (sde_mod.PathAbortError, sde_mod.FidelityRangeError, MemoryError) as exc:
+    except (sde_mod.PathAbortError, sde_mod.FidelityRangeError, MemoryError,
+            OSError) as exc:  # OSError: the artifact writer could not write
         print(f"run failed: {exc}", file=sys.stderr)
         return 2
     for path in result.files:

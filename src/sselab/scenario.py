@@ -19,7 +19,9 @@ presets are the same shape, one per reference figure.  Running a
 scenario writes summary.csv, optional distribution/closure CSVs,
 run.json (what reproduces the run, the run's path and approximation
 diagnostics, and the outcome of `check_run`) and timings.json (the wall
-time of each stage, which differs from run to run).
+time of each stage, which differs from run to run).  In a fresh process
+the first closure scan or Magnus mean also imports `scipy.linalg` (about
+0.3 s), and timings.json shows it in that stage: `closure` or `analytic`.
 """
 
 import json
@@ -227,6 +229,7 @@ def resolve(cfg, label="custom"):
         ops=ops,
     )
     _validate(scn)
+    _check_out_dir(scn.out_dir)
     _check_budget(scn)
     _check_step_map(scn)
     return replace(scn, resolve_s=time.perf_counter() - start)
@@ -284,6 +287,19 @@ def _validate(scn):
     for t in scn.t_slices:
         if _slot_for(scn, t) is None:
             raise ConfigError(f"t_slice {t} is not on the recording grid")
+
+
+def _check_out_dir(path):
+    """Reject an output directory the artifact writer could not make or
+    write into; creates nothing."""
+    if not path:
+        raise ConfigError("the output directory must not be empty")
+    ancestor = os.path.abspath(path)  # path itself when it exists
+    while not os.path.lexists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not (os.path.isdir(ancestor) and os.access(ancestor, os.W_OK | os.X_OK)):
+        raise ConfigError(f"cannot make output directory {path!r}: "
+                          f"{ancestor!r} is not a writable directory")
 
 
 def _check_budget(scn):

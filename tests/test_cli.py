@@ -1,6 +1,8 @@
 import configparser
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -267,6 +269,94 @@ def test_bad_values_rejected_before_any_compute(tmp_path, capsys, case):
         assert f"{key} is not read by {kind!r} scenarios" in err[0], err
     # the output directory is made only once the simulation has run
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["existing_file", "under_a_file", "empty"])
+def test_bad_out_dir_rejected_before_any_compute(tmp_path, capsys, monkeypatch, case):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    out = {"existing_file": str(blocker), "under_a_file": str(blocker / "sub"),
+           "empty": ""}[case]
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("simulated despite a bad output directory")
+
+    monkeypatch.setattr(sde, "simulate_paths", no_compute)
+    assert cli.main(["run", write_config(tmp_path, out=tmp_path / "a"), "--out", out]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+    assert "directory" in err[0], err
+    assert blocker.read_text() == "not a directory"
+
+
+def test_nested_new_out_dir_passes_resolve_and_is_not_made(tmp_path):
+    out = tmp_path / "a" / "b" / "c"
+    scn = scenario.resolve(cli._load_config_file(write_config(tmp_path, out=out)))
+    assert scn.out_dir == str(out)
+    assert not (tmp_path / "a").exists()
+
+
+def test_write_failure_is_a_run_failure(tmp_path, capsys, monkeypatch):
+    # the output directory turns into a file between resolve and the writer
+    out = tmp_path / "late"
+    run_scenario = scenario.run_scenario
+
+    def blocked(scn):
+        out.write_text("")
+        return run_scenario(scn)
+
+    monkeypatch.setattr(scenario, "run_scenario", blocked)
+    assert cli.main(["run", write_config(tmp_path, out=out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run failed:") and "Traceback" not in err, err
+
+
+# Runs in a fresh interpreter: this process has loaded scipy.linalg already.
+COLD_START = """import sys
+from sselab import cli
+for path in sys.argv[1:]:
+    assert cli.main(["run", path]) == 0, path
+print("scipy.linalg" in sys.modules)
+"""
+COMMUTING_INIS = {
+    "pauli": TINY_INI,
+    "projection": TINY_INI.replace("kind = pauli", "kind = projection").replace(
+        "state = 0", "state = +").replace("noise_op = X", "noise_op = P1"),
+    "twoqubit": TINY_INI.replace("kind = pauli", "kind = twoqubit").replace(
+        "state = 0", "state = 00").replace("noise_op = X", "base_op = X"),
+    "distribution": TINY_INI.replace("kind = pauli", "kind = distribution").replace(
+        "[output]", "[output]\nt_slices = 0.1"),
+}
+SCIPY_INIS = {
+    "approx-order": APPROX_INI,
+    "noncommuting_ou": TINY_INI.replace("kind = pauli", "kind = noncommuting").replace(
+        "noise_op = X", "noise_op = Z\nhamiltonian = X").replace(
+        "kind = white", "kind = ou").replace("gamma = 0.2", "gamma = 0.2\nk = 0.5").replace(
+        "n_paths = 40", "n_paths = 2"),
+}
+
+
+def _cold_run(tmp_path, inis):
+    paths = []
+    for name, text in inis.items():
+        path = tmp_path / f"{name}.ini"
+        path.write_text(text.format(out=tmp_path / name))
+        paths.append(str(path))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, *paths], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()[-1] == "True"
+
+
+def test_commuting_runs_never_load_scipy_linalg(tmp_path):
+    assert not _cold_run(tmp_path, COMMUTING_INIS)
+
+
+def test_closure_and_magnus_runs_load_scipy_linalg_from_a_cold_start(tmp_path):
+    assert _cold_run(tmp_path, SCIPY_INIS)
 
 
 def test_undecodable_config_file_is_a_config_error(tmp_path, capsys):
