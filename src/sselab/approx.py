@@ -101,16 +101,6 @@ def second_order_system(gamma, k, s0):
     )
 
 
-def first_order_matrix(t, gamma, k):
-    """The 3x3 matrix M(t), or a stack of them (ClosureSystem.matrix_fn)."""
-    return first_order_system(gamma, k, 0.0).matrix_fn(t)
-
-
-def second_order_matrix(t, gamma, k):
-    """The 6x6 matrix M(t), or a stack of them (ClosureSystem.matrix_fn)."""
-    return second_order_system(gamma, k, 0.0).matrix_fn(t)
-
-
 def _step_matrices(system, t, h):
     """The classical RK4 step of x' = M(t) x from each time in t, as a
     (dim, n, dim) stack P with x(t_i + h) = P[:, i, :] x(t_i)."""

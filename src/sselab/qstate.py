@@ -2,11 +2,12 @@
 
 Operators are plain complex ndarrays of shape (2**n, 2**n) with n <= 4,
 states are 1-d complex ndarrays.  Everything is dense; the systems of
-interest are at most two qubits plus one 10-dimensional observable
-vector, so sparsity would buy nothing.
+interest are at most two qubits, or the 4x4 Liouville superoperators of
+one, so sparsity would buy nothing.
 
-Only `mat_exp` needs scipy, and only the Magnus means call it, so it
-imports `scipy.linalg` on first use: a commuting run never loads it.
+Only `mat_exp` needs scipy, and only the white-noise Magnus means call
+it, so it imports `scipy.linalg` on first use: commuting runs and OU
+noncommuting runs never load it.
 """
 
 import numpy as np
@@ -119,5 +120,5 @@ def mat_exp(a):
         raise ValueError(f"mat_exp needs a square matrix, got {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("mat_exp: non-finite entries")
-    import scipy.linalg  # here, not at module level: only the Magnus means need it
+    import scipy.linalg  # here, not at module level: only white-noise Magnus means need it
     return scipy.linalg.expm(a)

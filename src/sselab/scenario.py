@@ -19,9 +19,11 @@ presets are the same shape, one per reference figure.  Running a
 scenario writes summary.csv, optional distribution/closure CSVs,
 run.json (what reproduces the run, the run's path and approximation
 diagnostics, and the outcome of `check_run`) and timings.json (the wall
-time of each stage, which differs from run to run).  In a fresh process
-the first closure scan or Magnus mean also imports `scipy.linalg` (about
-0.3 s), and timings.json shows it in that stage: `closure` or `analytic`.
+time of each stage, which differs from run to run).  Only approx-order
+runs and white-noise noncommuting runs load `scipy.linalg` (about 0.3 s
+in a fresh process), in their first closure scan or Magnus mean, and
+timings.json shows it in that stage: `closure` or `analytic`.  OU
+Magnus means are closed forms in numpy.
 """
 
 import json
@@ -29,6 +31,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -353,27 +356,23 @@ def scenario_law(scn):
     return laws_mod.ScenarioLaw(laws_mod.spectral_law(s_op, scn.state), s0)
 
 
-def magnus_system(scn):
-    axes = {"X", "Y", "Z"} - {scn.h_spec, scn.noise_spec}
-    triple = (scn.h_spec, scn.noise_spec, axes.pop())
-    return magnus_mod.system_for_state(scn.alpha, scn.model.gamma, triple, scn.state)
-
-
 def analytic_series(scn, times):
     """(mean, variance, diagnostics) at the given times; variance nan when
     no closed form exists (noncommuting), whose diagnostics hold the Magnus
-    eps^2 and, under OU noise, how many means left [0, 1]."""
+    eps^2 = gamma^2/alpha (a warning when it is not small) and, under OU
+    noise, how many means left [0, 1]."""
     times = np.asarray(times, dtype=float)
     if scn.name == "noncommuting":
-        sys_ = magnus_system(scn)
-        diagnostics = {"epsilon_sq": sys_.epsilon_sq}
+        eps_sq = scn.model.gamma**2 / scn.alpha
+        if eps_sq >= magnus_mod.EPS_SQ_WARN:
+            warnings.warn(f"eps^2 = gamma^2/alpha = {eps_sq:.3g} is not small; "
+                          "the Magnus mean is a weak-noise expansion", stacklevel=2)
+        diagnostics = {"epsilon_sq": eps_sq}
+        args = (scn.hamiltonian(), scn.noise_operator(), scn.model, scn.state)
         if scn.model.kind == noise_mod.WHITE:
-            mean = magnus_mod.wn_mean_fidelity(sys_, scn.state, times)
+            mean = magnus_mod.wn_mean_fidelity(*args, times)
         else:
-            approx = [
-                magnus_mod.ou_second_order_mean(sys_, scn.state, scn.model, t)
-                for t in times
-            ]
+            approx = [magnus_mod.ou_second_order_mean(*args, t) for t in times]
             mean = np.array([a.value for a in approx])
             diagnostics["magnus_out_of_range"] = sum(not a.in_range for a in approx)
         return mean, np.full(times.shape, np.nan), diagnostics

@@ -32,7 +32,8 @@ def test_noise_second_moment():
 
 def test_first_order_matrix_entries():
     g, k, t = 0.2, 0.1, 2.0
-    m = approx.first_order_matrix(t, g, k)
+    matrix_fn = approx.first_order_system(g, k, 0.0).matrix_fn
+    m = matrix_fn(t)
     g2 = g * g
     p = k * approx.noise_second_moment(t, g, k) - g2
     assert m.shape == (3, 3)
@@ -40,14 +41,15 @@ def test_first_order_matrix_entries():
     assert m[1, 2] == -1j * k
     assert m[2, 0] == 2j * p and m[2, 1] == -2j * p
     assert m[2, 2] == -(k + 2 * g2)
-    stack = approx.first_order_matrix(np.array([0.0, t]), g, k)
+    stack = matrix_fn(np.array([0.0, t]))
     assert stack.shape == (2, 3, 3) and np.array_equal(stack[1], m)
-    assert np.array_equal(stack[0], approx.first_order_matrix(0.0, g, k))
+    assert np.array_equal(stack[0], matrix_fn(0.0))
 
 
 def test_second_order_matrix_entries():
     g, k, t = 0.2, 0.1, 2.0
-    m = approx.second_order_matrix(t, g, k)
+    matrix_fn = approx.second_order_system(g, k, 0.0).matrix_fn
+    m = matrix_fn(t)
     g2 = g * g
     q = k * approx.noise_second_moment(t, g, k) - 2 * g2
     assert m.shape == (6, 6)
@@ -56,10 +58,10 @@ def test_second_order_matrix_entries():
     assert m[5, 2] == 2 * g2 and m[5, 3] == 2j * q
     assert m[5, 5] == -(3 * k + 2 * g2)
     # the first-order block is embedded in the upper-left corner
-    assert np.allclose(m[:2, :3], approx.first_order_matrix(t, g, k)[:2, :3])
-    stack = approx.second_order_matrix(np.array([0.0, t]), g, k)
+    assert np.allclose(m[:2, :3], approx.first_order_system(g, k, 0.0).matrix_fn(t)[:2, :3])
+    stack = matrix_fn(np.array([0.0, t]))
     assert stack.shape == (2, 6, 6) and np.array_equal(stack[1], m)
-    assert np.array_equal(stack[0], approx.second_order_matrix(0.0, g, k))
+    assert np.array_equal(stack[0], matrix_fn(0.0))
 
 
 def test_closure_systems():
@@ -194,11 +196,8 @@ def test_integrate_closure_matches_rk4_loop_around_chunk_edges(make, g, k, s0, s
     assert series.imag_residue == residue
 
 
-@pytest.mark.parametrize("make, matrix", [
-    (approx.first_order_system, approx.first_order_matrix),
-    (approx.second_order_system, approx.second_order_matrix),
-])
-def test_closure_matrix_is_a_plus_c_times_b(make, matrix):
+@pytest.mark.parametrize("make", [approx.first_order_system, approx.second_order_system])
+def test_closure_matrix_is_a_plus_c_times_b(make):
     """The scan builds its steps from a, c(t) and B's last row alone; the
     pinned matrices must be exactly that split."""
     g, k = 0.2, 0.1
@@ -211,10 +210,9 @@ def test_closure_matrix_is_a_plus_c_times_b(make, matrix):
     want = system.a + c[:, None, None] * b
     assert system.a.shape == (dim, dim)
     assert np.array_equal(system.c_fn(ts), c)
-    assert np.array_equal(matrix(ts, g, k), want)
     assert np.array_equal(system.matrix_fn(ts), want)
     for t, m in zip(ts, want):
-        assert np.array_equal(matrix(float(t), g, k), m)
+        assert np.array_equal(system.matrix_fn(float(t)), m)
 
 
 @pytest.mark.parametrize("T", [-0.001, -0.5, math.nan, math.inf, -math.inf])

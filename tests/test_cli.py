@@ -311,6 +311,9 @@ def test_write_failure_is_a_run_failure(tmp_path, capsys, monkeypatch):
     assert err.startswith("run failed:") and "Traceback" not in err, err
 
 
+NONCOMMUTING_INI = TINY_INI.replace("kind = pauli", "kind = noncommuting").replace(
+    "noise_op = X", "noise_op = Z\nhamiltonian = X").replace("n_paths = 40", "n_paths = 2")
+
 # Runs in a fresh interpreter: this process has loaded scipy.linalg already.
 COLD_START = """import sys
 from sselab import cli
@@ -318,7 +321,9 @@ for path in sys.argv[1:]:
     assert cli.main(["run", path]) == 0, path
 print("scipy.linalg" in sys.modules)
 """
-COMMUTING_INIS = {
+# Runs that never load scipy.linalg: the commuting kinds, and OU Magnus
+# means, whose integrals are closed forms.
+NO_SCIPY_INIS = {
     "pauli": TINY_INI,
     "projection": TINY_INI.replace("kind = pauli", "kind = projection").replace(
         "state = 0", "state = +").replace("noise_op = X", "noise_op = P1"),
@@ -326,14 +331,11 @@ COMMUTING_INIS = {
         "state = 0", "state = 00").replace("noise_op = X", "base_op = X"),
     "distribution": TINY_INI.replace("kind = pauli", "kind = distribution").replace(
         "[output]", "[output]\nt_slices = 0.1"),
+    "noncommuting_ou": NONCOMMUTING_INI.replace("kind = white", "kind = ou").replace(
+        "gamma = 0.2", "gamma = 0.2\nk = 0.5"),
 }
-SCIPY_INIS = {
-    "approx-order": APPROX_INI,
-    "noncommuting_ou": TINY_INI.replace("kind = pauli", "kind = noncommuting").replace(
-        "noise_op = X", "noise_op = Z\nhamiltonian = X").replace(
-        "kind = white", "kind = ou").replace("gamma = 0.2", "gamma = 0.2\nk = 0.5").replace(
-        "n_paths = 40", "n_paths = 2"),
-}
+# Runs that load it: the closure scan, and the white-noise Magnus mean (fig5's shape)
+SCIPY_INIS = {"approx-order": APPROX_INI, "noncommuting_white": NONCOMMUTING_INI}
 
 
 def _cold_run(tmp_path, inis):
@@ -352,11 +354,12 @@ def _cold_run(tmp_path, inis):
 
 
 def test_commuting_runs_never_load_scipy_linalg(tmp_path):
-    assert not _cold_run(tmp_path, COMMUTING_INIS)
+    assert not _cold_run(tmp_path, NO_SCIPY_INIS)
 
 
 def test_closure_and_magnus_runs_load_scipy_linalg_from_a_cold_start(tmp_path):
-    assert _cold_run(tmp_path, SCIPY_INIS)
+    for name, text in SCIPY_INIS.items():  # one process each: the first load would hide the next
+        assert _cold_run(tmp_path, {name: text}), name
 
 
 def test_undecodable_config_file_is_a_config_error(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -82,9 +84,19 @@ def test_noncommuting_validation():
     cfg = minimal_cfg(scenario={"kind": "noncommuting", "hamiltonian": "X",
                                 "noise_op": "Z", "alpha": "2.0"})
     scn = scenario.resolve(cfg)
-    sys = scenario.magnus_system(scn)
-    assert sys.alpha == 2.0
-    assert sys.triple == ("X", "Z", "Y")
+    assert np.array_equal(scn.hamiltonian(), 2.0 * qstate.SIGMA_X)
+    assert np.array_equal(scn.noise_operator(), qstate.SIGMA_Z)
+    # the Magnus means are weak-noise expansions in eps^2 = gamma^2/alpha
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        scenario.analytic_series(scn, [1.0])
+    assert not caught
+    weak_drive = scenario.resolve(minimal_cfg(
+        scenario={"kind": "noncommuting", "hamiltonian": "X", "noise_op": "Z",
+                  "alpha": "0.1"}, noise={"gamma": "0.4"}))
+    with pytest.warns(UserWarning, match="not small"):
+        _, _, diagnostics = scenario.analytic_series(weak_drive, [1.0])
+    assert diagnostics["epsilon_sq"] == pytest.approx(1.6)
 
 
 def test_distribution_needs_slices():
