@@ -3,38 +3,41 @@
 Closing the observable hierarchy with E[X^2 V] ~ E[X^2] E[V] at first
 order (3 components) or one level deeper at second order (6 components)
 gives linear ODE systems x' = M(t) x whose coefficients depend on t only
-through E[X_t^2].  They are integrated verbatim in complex arithmetic by
-classical RK4 on a fixed grid; the fidelity is the real part of the
-first component and the leftover imaginary magnitude is reported as a
-diagnostic.  The first order conserves F + G and settles at
-(1 + s0^2)/2, so it stays inside [0, 1]; the second order is closer at
-early times but leaves [0, 1] later (near t = 43.7 at gamma = 0.2,
-k = 0.1, s0 = 0).  Acceptance criterion 2 expects the reverse, and
-stays failing until the paper's closure is pinned down.
+through E[X_t^2].  They are integrated by classical RK4 on a fixed grid;
+the fidelity is the first component.  The first order conserves F + G
+and settles at (1 + s0^2)/2, so it stays inside [0, 1]; the second
+order is closer at early times but leaves [0, 1] later (near t = 43.7 at
+gamma = 0.2, k = 0.1, s0 = 0).  Acceptance criterion 2 expects the
+reverse, and stays failing until the paper's closure is pinned down.
 
 Each closure matrix is M(t) = A + c(t) B, where c(t) is p or q and B
-is zero but for 2i, -2i in its last row.  As the system is linear, each
-RK4 step is a fixed matrix P_i = I + (h/6)(K1 + 2 K2 + 2 K3 + K4) with
-K1 = M(t_i), K2 = M(t_i + h/2)(I + (h/2) K1), and so on.  The scan builds
-256 of them at a time as one (d, n, d) stack, so each product by M is one
-2-D GEMM by A plus one scaled row.  The chunk's x_{i+1} = P_i x_i is the
-unit lower-triangular system [I; -P_0 I; -P_1 I; ...] z = [x_0; 0; ...]
-of bandwidth 2d - 1, which one LAPACK call solves by forward substitution
-(O(n d^2), the loop's own arithmetic).  The working set is one chunk.
-`integrate_closure` imports that LAPACK routine from `scipy.linalg`
-when called, so importing this module does not load scipy.
+is zero but for 2i, -2i in its last row.  D = diag(1, 1, i), or
+diag(1, 1, i, 1, 1, i) at second order, makes D^-1 A D, D^-1 B D and
+D^-1 x_0 real, so the scan runs in real arithmetic in that frame, and
+raises ValueError for a system that is not real there.  Each RK4 step
+is a fixed matrix P_i, and P_i - I is a polynomial in c(t_i),
+c(t_i + h/2) and c(t_i + h) in which, as B has rank one and B^2 = 0,
+only 7 monomials survive.  Their coefficients are expanded once, and one
+(n, 7) @ (7, d^2) GEMM builds a chunk's step matrices; I is added after
+it, as an I in the constant coefficient would round I + hA alike on
+every step and bias a long scan.  The recurrence x_{i+1} = P_i x_i is a
+blocked prefix product over about sqrt(n) blocks of about sqrt(n)
+steps: one batched matmul per step of a block, one matvec per block to
+chain the block ends, and one batched product for every step's first
+component.  The working set is one chunk of at most 2048 steps.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_DT = 1e-3
-# Steps per batched pass: long enough to amortise the numpy calls, short
-# enough that a chunk's 6x6 stacks and band stay near 1.2 MB.
-_CHUNK = 256
-# B's nonzero entries, in columns dim-3 and dim-2 of its last row
-_B_ROW = np.array([2j, -2j])
+# Steps per chunk: long enough that its ~2 sqrt(n) numpy calls amortise,
+# short enough that a second-order chunk's stacks stay under 1 MB.
+_CHUNK = 2048
+# B's last row in the real frame: 2i, -2i in columns dim-3, dim-2, over its i
+_B_ROW = np.array([2.0, -2.0])
 
 
 @dataclass(frozen=True)
@@ -45,16 +48,11 @@ class ClosureSystem:
     c_fn: object        # time array -> c(t), the same shape
     v0: np.ndarray
 
-    def matrix_fn(self, t):
-        """M(t); a stack of them, shape t.shape + (dim, dim), for a time array."""
-        c = np.asarray(self.c_fn(t))
-        m = np.broadcast_to(self.a, c.shape + self.a.shape).copy()
-        m[..., -1, -3:-1] = c[..., None] * _B_ROW  # a is zero there
-        return m
-
 
 @dataclass(frozen=True)
 class ClosureSeries:
+    """imag_residue is max_t |Im x_1(t)|, which the real-frame scan makes
+    0 by construction; it is kept as the run's recorded diagnostic."""
     times: np.ndarray
     fidelity: np.ndarray
     imag_residue: float
@@ -101,64 +99,66 @@ def second_order_system(gamma, k, s0):
     )
 
 
-def _step_matrices(system, t, h):
-    """The classical RK4 step of x' = M(t) x from each time in t, as a
-    (dim, n, dim) stack P with x(t_i + h) = P[:, i, :] x(t_i)."""
-    d, n = len(system.a), len(t)
-    diag = np.arange(d), slice(None), np.arange(d)
-
-    def times_m(s, y):
-        """M(t_i + s) y_i for every i: one GEMM by a, and B's one row."""
-        flat = y.reshape(d, n * d)
-        my = (system.a @ flat).reshape(d, n, d)
-        my[-1] += system.c_fn(t + s)[:, None] * (_B_ROW @ flat[-3:-1]).reshape(n, d)
-        return my
-
-    def plus_eye(y):
-        y[diag] += 1.0
-        return y
-
-    k = np.ascontiguousarray(system.matrix_fn(t).transpose(1, 0, 2))
+def _step_coefficients(a, b, h):
+    """RK4's P - I for x' = (a + c(t) b) x as an (8, d, d) polynomial:
+    entry m multiplies the product of c(t), c(t + h/2), c(t + h) over
+    the bits set in m."""
+    k = np.zeros((8,) + a.shape)
+    k[0], k[1] = a, b  # K1 = M(t)
     p = k.copy()
-    for s, w in ((0.5 * h, 2), (0.5 * h, 2), (h, 1)):  # K2, K3, K4
-        k = times_m(s, plus_eye(s * k))
+    for bit, s, w in ((1, 0.5 * h, 2), (1, 0.5 * h, 2), (2, h, 1)):  # K2, K3, K4
+        y = s * k
+        y[0] += np.eye(len(a))
+        # K = M(t + s) y: b y moves each monomial up by c(t + s); one that
+        # holds it already came from an earlier b y, and b b = 0
+        k = a @ y
+        free = [m for m in range(8) if not m >> bit & 1]
+        k[[m | 1 << bit for m in free]] += b @ y[free]
         p += w * k
-    p *= h / 6.0
-    return plus_eye(p)
+    return (h / 6.0) * p
 
 
 def integrate_closure(system, T, dt=DEFAULT_DT):
     """Classical RK4 on x' = M(t) x; returns the mean-fidelity series.
 
-    fidelity[i] = Re x_1(t_i); imag_residue = max_t |Im x_1(t)|.
+    fidelity[i] = x_1(t_i).  ValueError if the system is not real in the
+    frame D (module docstring); a complex c(t) fails the in-place product
+    that weights the monomials.
     """
-    from scipy.linalg import lapack  # here, so commuting runs never load scipy.linalg
-
     if not (0.0 <= T < np.inf and 0.0 < dt < np.inf):
         raise ValueError(f"need a finite T >= 0 and dt > 0, got T={T!r}, dt={dt!r}")
     n_steps = int(round(T / dt))
     if abs(T / dt - n_steps) > 1e-9 * max(1.0, T / dt):
         raise ValueError("T/dt must be an integer")
     d = len(system.v0)
-    x = system.v0.astype(complex)
-    first = np.empty(n_steps + 1, dtype=complex)
-    first[0] = x[0]
+    frame = np.where(np.arange(d) % 3 == 2, 1j, 1.0)
+    a, x = system.a / frame[:, None] * frame, system.v0 / frame
+    if np.any(a.imag != 0) or np.any(x.imag != 0):
+        raise ValueError("the closure system is not real in the frame diag(1, 1, i, ...)")
+    b = np.zeros((d, d))
+    b[-1, -3:-1] = _B_ROW
+    # the c(t) c(t + h/2) c(t + h) coefficient is b (..) b b (..) = 0
+    coef = _step_coefficients(a.real, b, dt)[:7].reshape(7, d * d)
+    x = x.real
+    first = np.full(n_steps + 1, x[0])
     for start in range(0, n_steps, _CHUNK):
-        stop = min(start + _CHUNK, n_steps)
-        n = stop - start
-        P = _step_matrices(system, np.arange(start, stop) * dt, dt)
-        # lower band storage of [I; -P_0 I; ...]: row j = i d + b holds the
-        # entries o = 0..2d-1 below the diagonal of column j; -P_i[a, b] is
-        # at o = d + a - b, entry d + b (2d - 1) + a of block row i
-        band = np.zeros((n + 1, 2 * d * d), dtype=complex)
-        band[:n, d:].reshape(n, d, 2 * d - 1, copy=False)[:, :, :d] = -P.transpose(1, 2, 0)
-        rhs = np.concatenate([x, np.zeros(n * d)])[:, None]
-        # info is nonzero only for a bad argument: the diagonal is unit
-        z = lapack.ztbtrs(band.reshape(-1, 2 * d).T, rhs, uplo="L", diag="U")[0]
-        first[start + 1:stop + 1] = z[d::d, 0]
-        x = z[-d:, 0]
-    return ClosureSeries(
-        times=np.arange(n_steps + 1) * dt,
-        fidelity=first.real.copy(),
-        imag_residue=float(np.abs(first.imag[1:]).max(initial=0.0)),
-    )
+        n = min(_CHUNK, n_steps - start)
+        size = math.isqrt(n - 1) + 1  # steps per block, ceil(sqrt(n))
+        blocks = -(-n // size)
+        # step blk * size + j sits at [j, blk], so each matmul spans every
+        # block; the last block's tail steps past the chunk are discarded
+        t = (start + np.arange(size * blocks).reshape(blocks, size).T.ravel()) * dt
+        w = np.ones((len(t), 7))
+        for bit, s in enumerate((0.0, 0.5 * dt, dt)):
+            w[:, [m for m in range(7) if m >> bit & 1]] *= system.c_fn(t + s)[:, None]
+        q = (w @ coef).reshape(size, blocks, d, d)
+        q.reshape(size, blocks, d * d)[:, :, ::d + 1] += 1.0
+        for j in range(1, size):
+            q[j] = q[j] @ q[j - 1]
+        starts = np.empty((blocks, d))
+        starts[0] = x
+        for blk in range(1, blocks):
+            starts[blk] = q[-1, blk - 1] @ starts[blk - 1]
+        first[start + 1:start + n + 1] = np.einsum("jbk,bk->bj", q[:, :, 0], starts).ravel()[:n]
+        x = q[(n - 1) % size, (n - 1) // size] @ starts[(n - 1) // size]
+    return ClosureSeries(times=np.arange(n_steps + 1) * dt, fidelity=first, imag_residue=0.0)

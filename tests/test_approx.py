@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -13,6 +14,15 @@ def exact_pauli_mean(ts, gamma, k, s0):
     model = noise.ou_noise(gamma, k)
     law = laws.pauli_law(s0)
     return np.array([laws.series_mean_variance(law, model, t)[0] for t in ts])
+
+
+def matrix_fn(system, t):
+    """M(t) = a + c(t) B; a stack of them, shape t.shape + (dim, dim), for
+    a time array.  The oracle the scan's step matrices are checked against."""
+    c = np.asarray(system.c_fn(t))
+    m = np.broadcast_to(system.a, c.shape + system.a.shape).copy()
+    m[..., -1, -3:-1] = c[..., None] * np.array([2j, -2j])  # a is zero there
+    return m
 
 
 def test_noise_second_moment():
@@ -32,8 +42,8 @@ def test_noise_second_moment():
 
 def test_first_order_matrix_entries():
     g, k, t = 0.2, 0.1, 2.0
-    matrix_fn = approx.first_order_system(g, k, 0.0).matrix_fn
-    m = matrix_fn(t)
+    system = approx.first_order_system(g, k, 0.0)
+    m = matrix_fn(system, t)
     g2 = g * g
     p = k * approx.noise_second_moment(t, g, k) - g2
     assert m.shape == (3, 3)
@@ -41,15 +51,15 @@ def test_first_order_matrix_entries():
     assert m[1, 2] == -1j * k
     assert m[2, 0] == 2j * p and m[2, 1] == -2j * p
     assert m[2, 2] == -(k + 2 * g2)
-    stack = matrix_fn(np.array([0.0, t]))
+    stack = matrix_fn(system, np.array([0.0, t]))
     assert stack.shape == (2, 3, 3) and np.array_equal(stack[1], m)
-    assert np.array_equal(stack[0], matrix_fn(0.0))
+    assert np.array_equal(stack[0], matrix_fn(system, 0.0))
 
 
 def test_second_order_matrix_entries():
     g, k, t = 0.2, 0.1, 2.0
-    matrix_fn = approx.second_order_system(g, k, 0.0).matrix_fn
-    m = matrix_fn(t)
+    system = approx.second_order_system(g, k, 0.0)
+    m = matrix_fn(system, t)
     g2 = g * g
     q = k * approx.noise_second_moment(t, g, k) - 2 * g2
     assert m.shape == (6, 6)
@@ -58,10 +68,10 @@ def test_second_order_matrix_entries():
     assert m[5, 2] == 2 * g2 and m[5, 3] == 2j * q
     assert m[5, 5] == -(3 * k + 2 * g2)
     # the first-order block is embedded in the upper-left corner
-    assert np.allclose(m[:2, :3], approx.first_order_system(g, k, 0.0).matrix_fn(t)[:2, :3])
-    stack = matrix_fn(np.array([0.0, t]))
+    assert np.allclose(m[:2, :3], matrix_fn(approx.first_order_system(g, k, 0.0), t)[:2, :3])
+    stack = matrix_fn(system, np.array([0.0, t]))
     assert stack.shape == (2, 6, 6) and np.array_equal(stack[1], m)
-    assert np.array_equal(stack[0], matrix_fn(0.0))
+    assert np.array_equal(stack[0], matrix_fn(system, 0.0))
 
 
 def test_closure_systems():
@@ -71,7 +81,7 @@ def test_closure_systems():
     assert s2.order == 2 and len(s2.v0) == 6
     assert s2.v0[1] == 0.25
     ts = np.array([0.0, 0.5])
-    assert s1.matrix_fn(ts).shape == (2, 3, 3) and s2.matrix_fn(ts).shape == (2, 6, 6)
+    assert matrix_fn(s1, ts).shape == (2, 3, 3) and matrix_fn(s2, ts).shape == (2, 6, 6)
 
 
 def test_zero_noise_keeps_unit_fidelity():
@@ -137,13 +147,12 @@ def test_long_time_closure_breakdown_is_reported_not_hidden():
 def rk4_loop(system, T, dt=approx.DEFAULT_DT):
     """The step-by-step classical RK4 that integrate_closure batches:
     (fidelity series, max |Im x_1| over the steps)."""
-    m = system.matrix_fn
     x = system.v0.astype(complex).copy()
     fid = [x[0].real]
     residue = 0.0
     for i in range(int(round(T / dt))):
         t = i * dt
-        m0, mh, m1 = m(t), m(t + 0.5 * dt), m(t + dt)
+        m0, mh, m1 = (matrix_fn(system, s) for s in (t, t + 0.5 * dt, t + dt))
         k1 = m0 @ x
         k2 = mh @ (x + 0.5 * dt * k1)
         k3 = mh @ (x + 0.5 * dt * k2)
@@ -158,8 +167,8 @@ def rk4_loop(system, T, dt=approx.DEFAULT_DT):
 @pytest.mark.parametrize("g, k, s0", [(0.2, 0.1, 0.0), (0.3, 0.0, 0.5), (0.0, 0.4, 0.2)])
 def test_integrate_closure_matches_rk4_loop(make, g, k, s0):
     system = make(g, k, s0)
-    # 10000 steps end inside a chunk, 512 fill two whole chunks, 1 and 0
-    # steps are the shortest scans
+    # 10000 steps end inside a chunk, 512 is one chunk of 23 blocks whose
+    # last is part-filled, 1 and 0 steps are the shortest scans
     for T in (10.0, 0.512, 0.001, 0.0):
         series = approx.integrate_closure(system, T)
         want, residue = rk4_loop(system, T)
@@ -184,7 +193,8 @@ def test_closure_scan_working_set_stays_flat():
 @given(
     make=st.sampled_from([approx.first_order_system, approx.second_order_system]),
     g=st.floats(0.0, 1.0), k=st.floats(0.0, 2.0), s0=st.floats(0.0, 1.0),
-    steps=st.sampled_from([255, 256, 257, 513]),
+    # 2047-2049 straddle a chunk; 700 is 26 blocks of 27 steps, not a square
+    steps=st.sampled_from([255, 256, 257, 513, 700, 2047, 2048, 2049]),
 )
 def test_integrate_closure_matches_rk4_loop_around_chunk_edges(make, g, k, s0, steps):
     system = make(g, k, s0)
@@ -210,12 +220,25 @@ def test_closure_matrix_is_a_plus_c_times_b(make):
     want = system.a + c[:, None, None] * b
     assert system.a.shape == (dim, dim)
     assert np.array_equal(system.c_fn(ts), c)
-    assert np.array_equal(system.matrix_fn(ts), want)
+    assert np.array_equal(matrix_fn(system, ts), want)
     for t, m in zip(ts, want):
-        assert np.array_equal(system.matrix_fn(float(t)), m)
+        assert np.array_equal(matrix_fn(system, float(t)), m)
 
 
 @pytest.mark.parametrize("T", [-0.001, -0.5, math.nan, math.inf, -math.inf])
 def test_integrate_closure_rejects_bad_T(T):
     with pytest.raises(ValueError, match=r"T >= 0.*T="):
         approx.integrate_closure(approx.first_order_system(0.2, 0.1, 0.0), T)
+
+
+@pytest.mark.parametrize("make", [approx.first_order_system, approx.second_order_system])
+def test_integrate_closure_rejects_a_system_not_real_in_its_frame(make):
+    system = make(0.2, 0.1, 0.0)
+    a = system.a.copy()
+    a[0, -1] = 0.5  # D^-1 a D holds 0.5i there
+    with pytest.raises(ValueError, match="not real"):
+        approx.integrate_closure(dataclasses.replace(system, a=a), 0.01)
+    v0 = system.v0.copy()
+    v0[2] = 1.0  # D^-1 v0 holds -i there
+    with pytest.raises(ValueError, match="not real"):
+        approx.integrate_closure(dataclasses.replace(system, v0=v0), 0.01)
