@@ -38,13 +38,17 @@ ratio of consecutive norms.  One pass over the stack after the loop
 then gives the norms, the abort test (non-finite or > ABORT_NORM norm,
 non-finite X), the norm drift, and the fidelities and kept states at
 the recorded steps; kept states are mapped back to psi with V at the
-end.  A renormalizing run rescales the states in the loop only every
-_RESCALE_EVERY steps, at fixed step numbers, so the output does not
-depend on the chunk length.  A path that dies inside a chunk runs on to
-the chunk's end, silently, and its rows are dropped.  The noiseless
-targets at all recorded times come from one eigendecomposition of H.
-F at t = 0 is computed from phi0 itself, so it is exactly 1 for a basis
-state at H = 0.
+end.  Every array a chunk uses is allocated once per run and written
+in place: the weights' constant row once, their other rows, the X path
+and the normals of the chunk (copied from the block, step-major) per
+chunk.  The abort test and the drift read only the largest and the
+smallest norm of a chunk in which no path goes bad.  A renormalizing
+run rescales the states in the loop only every _RESCALE_EVERY steps, at
+fixed step numbers, so the output does not depend on the chunk length.
+A path that dies inside a chunk runs on to the chunk's end, silently,
+and its rows are dropped.  The noiseless targets at all recorded times
+come from one eigendecomposition of H.  F at t = 0 is computed from
+phi0 itself, so it is exactly 1 for a basis state at H = 0.
 
 Reproducibility: path i draws from its own Philox(master_seed, i)
 stream, in a fixed order (initial noise value first, then one normal
@@ -67,7 +71,6 @@ PLATEN_WEAK2 = "platen-weak2"
 SCHEMES = (EULER_MARUYAMA, PLATEN_WEAK2)
 
 ABORT_NORM = 1.5
-CLAMP_TOL = 1e-9
 PRECLAMP_LIMIT = 1e-6
 MAX_ABORT_FRACTION = 0.01
 TIME_BLOCK = 2048
@@ -76,11 +79,13 @@ TIME_BLOCK = 2048
 # Philox stream yields the same sequence in any block length, so the
 # output does not depend on this.
 BLOCK_NORMALS = 2**20
-# Path-steps per chunk of the step loop (see above).  A chunk stores its
-# weights (48 bytes per path-step), its unnormalized states (16 d bytes per
-# path-step) and its step factors (16 d bytes per path-step and shift):
-# 920 KB at d = 2 and 1.4 MB at d = 4 with the one shift of a commuting
-# run, 1.2 MB at d = 2 with two.  The output does not depend on it.
+# Path-steps per chunk of the step loop (see above).  Its buffers, in
+# bytes per path-step: the weights 8 per monomial (48 for Platen, 24 for
+# Euler-Maruyama), the unnormalized states 16 d, the step factors 16 d per
+# shift, and 33 for the noise increments, the squared norms, the norms,
+# a scratch row and a finiteness mask.  That is 1.2 MB at d = 2 and 1.7 MB
+# at d = 4 with the one shift of a commuting Platen run, 1.45 MB at d = 2
+# with two (decimal MB).  The output does not depend on it.
 CHUNK_VALUES = 2**13
 # A renormalizing run rescales psi only at step numbers divisible by this.
 # A live path's norm changes by at most ABORT_NORM per step, so between
@@ -193,27 +198,16 @@ def _step_map(H, S, model, scheme, dt):
     return np.array(mats), lin
 
 
-def _weights(x, N, terms, out=None):
-    """Monomial weights (1, x, N, x^2, xN, N^2)[:terms], stacked on axis -2.
-
-    For (steps, paths) arrays of noise values x and normals N this is a
-    (steps, terms, paths) array, so each step's weights are contiguous.
-    """
-    w = [np.ones_like(x), x, N]
-    if terms == 6:
-        w += [x * x, x * N, N * N]
-    return np.stack(w, axis=-2, out=out)
-
-
-def _sq_norms(a):
+def _sq_norms(a, out=None, tmp=None):
     """Squared norms over axis -2 of real-layout states.
 
     Summed row by row in a fixed order, so a state's norm does not depend
-    on the array it sits in.
+    on the array it sits in.  `out` and `tmp`, if given, are buffers of
+    the result's shape.
     """
-    out = a[..., 0, :] ** 2
+    out = np.square(a[..., 0, :], out=out)
     for j in range(1, a.shape[-2]):
-        out += a[..., j, :] ** 2
+        out += np.square(a[..., j, :], out=tmp)
     return out
 
 
@@ -328,37 +322,51 @@ def simulate_paths(H, S, model, phi0, config):
     ]
     x0s = np.zeros(n_paths)
     block = min(TIME_BLOCK, max(1, BLOCK_NORMALS // n_paths))
+    normals = np.empty((n_paths, min(block, n_steps)))
 
     def draw_block(start):
         tb = min(block, n_steps - start)
-        normals = np.empty((n_paths, tb))
         for i in range(n_paths):
             bitgen.state = streams[i]
             if start == 0:
                 x0s[i] = noise_mod.draw_initial(model, gen)
-            normals[i] = gen.standard_normal(tb)
+            gen.standard_normal(out=normals[i, :tb])
             if start + tb < n_steps:
                 streams[i] = bitgen.state
-        return normals
+        return tb
 
-    normals = draw_block(0)
-    x = x0s.copy()
+    tb = draw_block(0)
     alive = np.ones(n_paths, dtype=bool)
     renorm = config.renormalize
     chunk = max(1, min(CHUNK_VALUES // n_paths, block, n_steps))
     # The chunk's buffers are allocated once: fresh ones cost page faults.
-    W = np.empty((chunk, terms, n_paths))
+    # W[s] holds the monomial weights (1, x, N, x^2, xN, N^2)[:terms] of the
+    # chunk's s-th step, each a row over the paths.  W has a step more, for
+    # its x rows: X[s] is the noise value before the chunk's s-th step, and
+    # X[0] carries it over from the previous chunk.
+    W = np.empty((chunk + 1, terms, n_paths))
+    W[:, 0] = 1.0
+    X = W[:, 1]
+    X[0] = x0s
+    anN = np.empty((chunk, n_paths))
+    # Lists of row views: a step indexes a list, not an array.
+    Xs, anNs = list(X), list(anN)
     # The factors of shift 0 and of the other shifts, each shift's in a
     # contiguous slab, so that a step reads them in one piece
     G0 = np.empty((chunk, n_paths, 2 * d))
     G1 = np.empty((chunk, len(rolls), n_paths, 2 * d))
+    Gs, Gxs = list(G0.view(complex)), list(G1.view(complex))
     rolled = np.empty((n_paths, d), dtype=complex)
     # C[s] is the unnormalized state after the chunk's s-th step, as the
     # (paths, d) coordinates V'psi; row 0 carries the state over from the
     # previous chunk.  Psi views C in real layout, (2d, paths) per step.
     C = np.empty((chunk + 1, n_paths, d), dtype=complex)
     C[0] = V.conj().T @ phi0
+    Cs = list(C)
     Psi = np.swapaxes(C.view(float), 1, 2)
+    # Squared norms and norms of the chunk's states; sq[0] carries over.
+    sq, nrm, tmp = np.empty((3, chunk + 1, n_paths))
+    finite = np.empty((chunk, n_paths), dtype=bool)
     targets = _overlap_rows(phis @ V.conj())
 
     def record(rows, slots, sq, xrows):
@@ -379,7 +387,8 @@ def simulate_paths(H, S, model, phi0, config):
     # A path that dies inside a chunk runs on to the chunk's end and may
     # overflow there; its rows are dropped, so that stays silent.
     with np.errstate(over="ignore", invalid="ignore"):
-        record([0], [0], _sq_norms(Psi[:1]), x[None])
+        _sq_norms(Psi[:1], out=sq[:1])
+        record([0], [0], sq[:1], X[:1])
         # F at t = 0 from phi0 itself (1 for a basis state and H = 0), which
         # the coordinates V'phi0 would give only to round-off
         P0 = np.ascontiguousarray(phi0).view(float)[None, :, None]
@@ -387,63 +396,81 @@ def simulate_paths(H, S, model, phi0, config):
         fids[:, 0] = (f0 / _sq_norms(P0) if renorm else f0).item()
         while step_no < n_steps:
             if step_no > 0:
-                normals = draw_block(step_no)
-            tb = normals.shape[1]
+                tb = draw_block(step_no)
             for c0 in range(0, tb, chunk):
                 # the noise path and the weights never read psi
-                N = normals[:, c0:c0 + chunk].T
-                nc = len(N)
-                xp = np.empty((nc + 1, n_paths))
-                xp[0] = x
-                for prev, nxt, aN in zip(xp, xp[1:], an * N):
+                nc = min(chunk, tb - c0)
+                N = W[:nc, 2]
+                np.copyto(N, normals[:, c0:c0 + nc].T)
+                np.multiply(N, an, out=anN[:nc])
+                for prev, nxt, kick in zip(Xs, Xs[1:nc + 1], anNs):
                     np.multiply(prev, ax, out=nxt)
-                    np.add(nxt, aN, out=nxt)
-                w = _weights(xp[:-1], N, terms, out=W[:nc]).transpose(0, 2, 1)
+                    np.add(nxt, kick, out=nxt)
+                if terms == 6:
+                    x = X[:nc]
+                    np.multiply(x, x, out=W[:nc, 3])
+                    np.multiply(x, N, out=W[:nc, 4])
+                    np.multiply(N, N, out=W[:nc, 5])
                 # every step's factors G_o = sum_m w_m lam_m,o, as one small
                 # product per step, so that a step's factors do not depend
                 # on the chunk length
-                G = np.matmul(w, lam[0], out=G0[:nc]).view(complex)
-                Gx = np.matmul(w[:, None], lam[1:], out=G1[:nc]).view(complex)
+                w = W[:nc].transpose(0, 2, 1)
+                np.matmul(w, lam[0], out=G0[:nc])
+                np.matmul(w[:, None], lam[1:], out=G1[:nc])
                 # Only the linear update runs per step.  A renormalizing run
                 # rescales at absolute step numbers divisible by
                 # _RESCALE_EVERY, keeping the norm before the rescale.
                 rescaled = {}
                 for s in range(nc):
-                    np.multiply(C[s], G[s], out=C[s + 1])
+                    np.multiply(Cs[s], Gs[s], out=Cs[s + 1])
                     if rolls:
-                        for g, roll in zip(Gx[s], rolls):
-                            C[s].take(roll, axis=1, out=rolled)
+                        for g, roll in zip(Gxs[s], rolls):
+                            Cs[s].take(roll, axis=1, out=rolled)
                             rolled *= g
-                            C[s + 1] += rolled
+                            Cs[s + 1] += rolled
                     if renorm and (step_no + s + 1) % _RESCALE_EVERY == 0:
                         n = np.sqrt(_sq_norms(Psi[s + 1]))
                         np.divide(Psi[s + 1], n, out=Psi[s + 1], where=n > 0)
                         rescaled[s] = n
-                sq = _sq_norms(Psi[:nc + 1])
-                nrm = np.sqrt(sq)
+                _sq_norms(Psi[1:nc + 1], out=sq[1:nc + 1], tmp=tmp[:nc])
+                np.sqrt(sq[:nc + 1], out=nrm[:nc + 1])
                 # the norm each step produced: of psi itself without
                 # renormalizing, else its growth over the step
-                norms = nrm[1:].copy()
-                for s, n in rescaled.items():
-                    norms[s] = n
+                norms = nrm[1:nc + 1]
                 if renorm:
-                    np.divide(norms, nrm[:-1], out=norms, where=nrm[:-1] > 0)
-                # a path dies at its first bad step; that step and later
-                # ones count for no drift
-                bad = (~np.isfinite(norms) | (norms > ABORT_NORM) | ~np.isfinite(xp[1:])) & alive
-                first = np.where(bad.any(axis=0), bad.argmax(axis=0), nc)
-                live = (np.arange(nc)[:, None] < first) & alive
-                drift = max(drift, float(np.where(live, np.abs(norms - 1.0), 0.0).max()))
+                    norms = tmp[:nc]
+                    np.copyto(norms, nrm[1:nc + 1])
+                    for s, n in rescaled.items():
+                        norms[s] = n
+                    np.divide(norms, nrm[:nc], out=norms, where=nrm[:nc] > 0)
+                # A path dies at its first bad step (non-finite or too large a
+                # norm, non-finite X); that step and later ones count for no
+                # drift.  Most chunks have none: then the largest and the
+                # smallest norm give the drift, as rounding n - 1 is monotone.
+                top, low = float(norms.max()), float(norms.min())
+                dead, live = None, alive
+                if not (top <= ABORT_NORM and np.isfinite(X[1:nc + 1], out=finite[:nc]).all()):
+                    bad = ~((norms <= ABORT_NORM) & np.isfinite(X[1:nc + 1])) & alive
+                    first = np.where(bad.any(axis=0), bad.argmax(axis=0), nc)
+                    live = (np.arange(nc)[:, None] < first) & alive
+                    dead = first < nc
+                if dead is None and alive.all():
+                    drift = max(drift, top - 1.0, 1.0 - low)
+                else:
+                    dev = np.abs(np.subtract(norms, 1.0, out=norms), out=norms)
+                    drift = max(drift, float(np.where(live, dev, 0.0).max()))
                 rec = np.arange(rec_every - step_no % rec_every, nc + 1, rec_every)
                 if len(rec):
-                    record(rec, (step_no + rec) // rec_every, sq[rec], xp[rec])
-                dead = first < nc
-                abort_step[dead] = step_no + first[dead] + 1
-                alive &= ~dead
-                Psi[0] = Psi[nc]
-                Psi[0][:, dead] = 0.0
-                x = xp[-1]
-                x[dead] = 0.0
+                    record(rec, (step_no + rec) // rec_every, sq[rec], X[rec])
+                C[0] = C[nc]
+                X[0] = X[nc]
+                sq[0] = sq[nc]
+                if dead is not None:
+                    abort_step[dead] = step_no + first[dead] + 1
+                    alive &= ~dead
+                    C[0][dead] = 0.0
+                    X[0][dead] = 0.0
+                    sq[0][dead] = 0.0
                 step_no += nc
 
     aborted = tuple((int(i), int(abort_step[i])) for i in np.flatnonzero(~alive))
@@ -485,7 +512,7 @@ def simulate_paths(H, S, model, phi0, config):
         fidelities=fid_rows,
         path_indices=rows,
         initial_x=x0s[rows],
-        terminal_x=x[rows],
+        terminal_x=X[0][rows],
         states=states,
         xs=None if xs is None else xs[rows],
         summary=summary,

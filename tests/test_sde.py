@@ -17,6 +17,11 @@ class JointState:
     x: float
 
 
+def _weights(x, N, terms):
+    """Monomial weights (1, x, N, x^2, xN, N^2)[:terms] of the step map."""
+    return [1.0, x, N, x * x, x * N, N * N][:terms]
+
+
 def step(Y, H, S, model, config, stream, normal=None):
     """One scheme step of the joint SDE; a single shared normal draw.
 
@@ -28,7 +33,7 @@ def step(Y, H, S, model, config, stream, normal=None):
     H, S = sde._check_ops(H, S, psi.shape[0])
     N = float(stream.standard_normal()) if normal is None else float(normal)
     M, (ax, an) = sde._step_map(H, S, model, config.scheme, config.dt)
-    w = sde._weights(np.array([float(Y.x)]), np.array([N]), len(M))[:, 0]
+    w = _weights(float(Y.x), N, len(M))
     psi1 = sum(wm * (Mm @ psi) for wm, Mm in zip(w, M))
     norm = float(np.linalg.norm(psi1))
     if not np.all(np.isfinite(psi1)) or norm > sde.ABORT_NORM:
@@ -382,6 +387,48 @@ def test_normals_block_cap_keeps_output(monkeypatch, cap):
     assert len(ref.aborted) == 5
 
 
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("ops", [
+    (ZERO_H, qstate.SIGMA_X, [0]),
+    (qstate.SIGMA_X, qstate.SIGMA_Z, [0, 1]),
+    (np.kron(qstate.SIGMA_X, _I2), np.kron(qstate.SIGMA_Z, _I2), [0, 2]),
+], ids=["diagonal", "x_z", "d4_shift2"])
+def test_chunk_length_keeps_output_bit_for_bit(monkeypatch, ops):
+    # Chunks of 1, 4, 5 and 37 steps reuse the same buffers across chunks,
+    # and a run in them gives the output of one chunk per run, bit for bit,
+    # kept states included.  The coarse Euler run aborts at steps 1, 4, 4,
+    # 5 and 11, so chunks of 4 and 5 end on an abort; the OU run's 250
+    # steps leave a partial final chunk at 4 and 37.
+    H, S, shifts = ops
+    d = len(H)
+    phi0 = np.eye(d, dtype=complex)[0]
+    M, _ = sde._step_map(H, S, noise.white_noise(1.0), sde.PLATEN_WEAK2, 1e-3)
+    assert sde._eigenbasis(M, H, S)[1] == shifts
+    ou = (noise.ou_noise(0.3, 0.5, init=noise.STATIONARY),
+          sde.SimConfig(dt=2e-3, T=0.5, n_paths=6, master_seed=5, record_every=25,
+                        keep_states=True))
+    coarse = (noise.white_noise(1.45),
+              sde.SimConfig(dt=0.05, T=1.0, n_paths=1000, master_seed=3,
+                            scheme=sde.EULER_MARUYAMA, keep_states=True))
+    fields = ("fidelities", "states", "xs", "initial_x", "terminal_x", "path_indices")
+    for model, cfg in (ou, coarse):
+        monkeypatch.setattr(sde, "CHUNK_VALUES", 10**9)
+        ref = sde.simulate_paths(H, S, model, phi0, cfg)
+        for chunk in (1, 4, 5, 37):
+            monkeypatch.setattr(sde, "CHUNK_VALUES", chunk * cfg.n_paths)
+            got = sde.simulate_paths(H, S, model, phi0, cfg)
+            for name in fields:
+                assert _same_bits(getattr(got, name), getattr(ref, name)), (chunk, name)
+            assert _same_bits(got.max_norm_drift, ref.max_norm_drift)
+            assert got.aborted == ref.aborted
+            assert got.kernel == ref.kernel
+    assert [s for _, s in ref.aborted] == [5, 4, 4, 11, 1]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_simulate_paths_abort_budget():
     # absurd step size blows up nearly every path; the run must refuse
@@ -429,22 +476,23 @@ def test_rescaling_keeps_a_growing_map_in_range(monkeypatch):
     # overflows), but a renormalizing run only sees the direction of psi:
     # rescaled every _RESCALE_EVERY steps it aborts nothing, gives the
     # fidelities of the unscaled map and reports the 1.3 growth as drift.
+    # A map scaled by 0.7 shrinks the norm instead, and reports 0.3 too.
     model = noise.ou_noise(0.3, 0.5, init=noise.STATIONARY)
     H = 0.7 * qstate.SIGMA_X
     cfg = sde.SimConfig(dt=1e-3, T=4.5, n_paths=1, master_seed=2, record_every=50)
     assert cfg.n_steps >= 4096
     ref = sde.simulate_paths(H, qstate.SIGMA_X, model, KET0, cfg)
     step_map = sde._step_map
+    for scale in (1.3, 0.7):
+        def scaled(*args):
+            R, lin = step_map(*args)
+            return scale * R, lin
 
-    def scaled(*args):
-        R, lin = step_map(*args)
-        return 1.3 * R, lin
-
-    monkeypatch.setattr(sde, "_step_map", scaled)
-    got = sde.simulate_paths(H, qstate.SIGMA_X, model, KET0, cfg)
-    assert got.aborted == ()
-    assert np.max(np.abs(got.fidelities - ref.fidelities)) < 1e-12
-    assert got.max_norm_drift == pytest.approx(0.3, abs=1e-3)
+        monkeypatch.setattr(sde, "_step_map", scaled)
+        got = sde.simulate_paths(H, qstate.SIGMA_X, model, KET0, cfg)
+        assert got.aborted == ()
+        assert np.max(np.abs(got.fidelities - ref.fidelities)) < 1e-12
+        assert got.max_norm_drift == pytest.approx(0.3, abs=1e-3)
 
 
 def test_summary_matches_column_loop():
