@@ -32,6 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import noise as noise_mod
+
 DEFAULT_DT = 1e-3
 # Steps per chunk: long enough that its ~2 sqrt(n) numpy calls amortise,
 # short enough that a second-order chunk's stacks stay under 1 MB.
@@ -58,33 +60,24 @@ class ClosureSeries:
     imag_residue: float
 
 
-def noise_second_moment(t, gamma, k):
-    """E[X_t^2] for an OU path started at 0; k = 0 limit is gamma^2 t.
-
-    t may be a scalar or an array; the result has its shape.
-    """
-    if k == 0.0:
-        return gamma**2 * t
-    return -np.expm1(-2 * k * t) * gamma**2 / (2 * k)
-
-
 def first_order_system(gamma, k, s0):
-    """The 3-component closure; c(t) = p(t) = k E[X_t^2] - gamma^2."""
-    g2 = gamma**2
+    """The 3-component closure; c(t) = p(t) = k E[X_t^2] - gamma^2, with
+    E[X_t^2] for a path started at 0 the variance of its increment."""
+    g2, model = gamma**2, noise_mod.ou_noise(gamma, k)
     a = np.array([
         [-g2, g2, 1j * k],
         [g2, -g2, -1j * k],
         [0, 0, -(k + 2 * g2)],
     ], dtype=complex)
     return ClosureSystem(
-        order=1, a=a, c_fn=lambda t: k * noise_second_moment(t, gamma, k) - g2,
-        v0=np.array([1.0, s0**2, 0.0], dtype=complex),
+        order=1, a=a, v0=np.array([1.0, s0**2, 0.0], dtype=complex),
+        c_fn=lambda t: k * noise_mod.terminal_increment_law(model, t)[1] - g2,
     )
 
 
 def second_order_system(gamma, k, s0):
     """The 6-component closure; c(t) = q(t) = k E[X_t^2] - 2 gamma^2."""
-    g2 = gamma**2
+    g2, model = gamma**2, noise_mod.ou_noise(gamma, k)
     a = np.array([
         [-g2, g2, 1j * k, 0, 0, 0],
         [g2, -g2, -1j * k, 0, 0, 0],
@@ -94,8 +87,8 @@ def second_order_system(gamma, k, s0):
         [0, 0, 2 * g2, 0, 0, -(3 * k + 2 * g2)],
     ], dtype=complex)
     return ClosureSystem(
-        order=2, a=a, c_fn=lambda t: k * noise_second_moment(t, gamma, k) - 2 * g2,
-        v0=np.array([1.0, s0**2, 0.0, 0.0, 0.0, 0.0], dtype=complex),
+        order=2, a=a, v0=np.array([1.0, s0**2, 0.0, 0.0, 0.0, 0.0], dtype=complex),
+        c_fn=lambda t: k * noise_mod.terminal_increment_law(model, t)[1] - 2 * g2,
     )
 
 

@@ -4,10 +4,6 @@ Operators are plain complex ndarrays of shape (2**n, 2**n) with n <= 4,
 states are 1-d complex ndarrays.  Everything is dense; the systems of
 interest are at most two qubits, or the 4x4 Liouville superoperators of
 one, so sparsity would buy nothing.
-
-Only `mat_exp` needs scipy, and only the white-noise Magnus means call
-it, so it imports `scipy.linalg` on first use: commuting runs and OU
-noncommuting runs never load it.
 """
 
 import numpy as np
@@ -112,13 +108,3 @@ def expect_value(a, phi):
         raise ValueError(f"dimension mismatch {a.shape} vs state {phi.size}")
     return complex(phi.conj() @ (a @ phi))
 
-
-def mat_exp(a):
-    """Matrix exponential (scaling-and-squaring Pade)."""
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"mat_exp needs a square matrix, got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("mat_exp: non-finite entries")
-    import scipy.linalg  # here, not at module level: only white-noise Magnus means need it
-    return scipy.linalg.expm(a)

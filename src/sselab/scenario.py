@@ -19,11 +19,7 @@ presets are the same shape, one per reference figure.  Running a
 scenario writes summary.csv, optional distribution/closure CSVs,
 run.json (what reproduces the run, the run's path and approximation
 diagnostics, and the outcome of `check_run`) and timings.json (the wall
-time of each stage, which differs from run to run).  Only white-noise
-noncommuting runs load `scipy.linalg` (about 0.3 s in a fresh process),
-in their first Magnus mean, and timings.json shows it in the `analytic`
-stage.  OU Magnus means are closed forms and the closure scan is real
-RK4, both in numpy alone.
+time of each stage, which differs from run to run).
 """
 
 import json
@@ -525,7 +521,6 @@ def _write_artifacts(result, diagnostics):
         "versions": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            "scipy": __import__("scipy").__version__,
             "sselab": __import__("sselab").__version__,
         },
     }

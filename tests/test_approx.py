@@ -25,19 +25,9 @@ def matrix_fn(system, t):
     return m
 
 
-def test_noise_second_moment():
-    g, k = 0.3, 0.4
-    assert approx.noise_second_moment(2.0, g, 0.0) == pytest.approx(g * g * 2.0)
-    t = 1.5
-    want = g * g / (2 * k) * (1 - math.exp(-2 * k * t))
-    assert approx.noise_second_moment(t, g, k) == pytest.approx(want, abs=1e-15)
-    # long-time plateau at the stationary second moment
-    assert approx.noise_second_moment(1e3, g, k) == pytest.approx(g * g / (2 * k))
-    # a time array gives the scalar values elementwise
-    ts = np.array([0.0, t, 1e3])
-    for kk in (0.0, k):
-        want = [approx.noise_second_moment(float(s), g, kk) for s in ts]
-        assert np.array_equal(approx.noise_second_moment(ts, g, kk), want)
+def second_moment(t, g, k):
+    """E[X_t^2] from 0: the calibrated OU variance of the increment."""
+    return noise.terminal_increment_law(noise.ou_noise(g, k), t)[1]
 
 
 def test_first_order_matrix_entries():
@@ -45,7 +35,7 @@ def test_first_order_matrix_entries():
     system = approx.first_order_system(g, k, 0.0)
     m = matrix_fn(system, t)
     g2 = g * g
-    p = k * approx.noise_second_moment(t, g, k) - g2
+    p = k * second_moment(t, g, k) - g2
     assert m.shape == (3, 3)
     assert m[0, 0] == -g2 and m[0, 1] == g2 and m[0, 2] == 1j * k
     assert m[1, 2] == -1j * k
@@ -61,7 +51,7 @@ def test_second_order_matrix_entries():
     system = approx.second_order_system(g, k, 0.0)
     m = matrix_fn(system, t)
     g2 = g * g
-    q = k * approx.noise_second_moment(t, g, k) - 2 * g2
+    q = k * second_moment(t, g, k) - 2 * g2
     assert m.shape == (6, 6)
     assert m[2, 0] == -2j * g2 and m[2, 3] == 2j * k
     assert m[3, 3] == -(2 * k + g2) and m[3, 5] == 1j * k
@@ -214,7 +204,7 @@ def test_closure_matrix_is_a_plus_c_times_b(make):
     system = make(g, k, 0.0)
     dim = len(system.v0)
     ts = np.array([0.0, 0.3, 2.0, 40.0])
-    c = k * approx.noise_second_moment(ts, g, k) - system.order * g * g
+    c = k * second_moment(ts, g, k) - system.order * g * g
     b = np.zeros((dim, dim), dtype=complex)
     b[-1, -3], b[-1, -2] = 2j, -2j
     want = system.a + c[:, None, None] * b

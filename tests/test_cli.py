@@ -314,16 +314,15 @@ def test_write_failure_is_a_run_failure(tmp_path, capsys, monkeypatch):
 NONCOMMUTING_INI = TINY_INI.replace("kind = pauli", "kind = noncommuting").replace(
     "noise_op = X", "noise_op = Z\nhamiltonian = X").replace("n_paths = 40", "n_paths = 2")
 
-# Runs in a fresh interpreter: this process has loaded scipy.linalg already.
+# Runs in a fresh interpreter: this process has loaded scipy already.
 COLD_START = """import sys
 from sselab import cli
 for path in sys.argv[1:]:
     assert cli.main(["run", path]) == 0, path
-print("scipy.linalg" in sys.modules)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
-# Runs that never load scipy.linalg: the commuting kinds, the closure
-# scan (numpy alone), and OU Magnus means, whose integrals are closed forms.
-NO_SCIPY_INIS = {
+# Every kind, both noises for noncommuting: the package needs numpy alone.
+COLD_INIS = {
     "pauli": TINY_INI,
     "projection": TINY_INI.replace("kind = pauli", "kind = projection").replace(
         "state = 0", "state = +").replace("noise_op = X", "noise_op = P1"),
@@ -331,15 +330,16 @@ NO_SCIPY_INIS = {
         "state = 0", "state = 00").replace("noise_op = X", "base_op = X"),
     "distribution": TINY_INI.replace("kind = pauli", "kind = distribution").replace(
         "[output]", "[output]\nt_slices = 0.1"),
+    "noncommuting_white": NONCOMMUTING_INI,
     "noncommuting_ou": NONCOMMUTING_INI.replace("kind = white", "kind = ou").replace(
         "gamma = 0.2", "gamma = 0.2\nk = 0.5"),
     "approx-order": APPROX_INI,
 }
 
 
-def _cold_run(tmp_path, inis):
+def test_no_run_loads_scipy_from_a_cold_start(tmp_path):
     paths = []
-    for name, text in inis.items():
+    for name, text in COLD_INIS.items():
         path = tmp_path / f"{name}.ini"
         path.write_text(text.format(out=tmp_path / name))
         paths.append(str(path))
@@ -349,16 +349,7 @@ def _cold_run(tmp_path, inis):
         env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()[-1] == "True"
-
-
-def test_commuting_runs_never_load_scipy_linalg(tmp_path):
-    assert not _cold_run(tmp_path, NO_SCIPY_INIS)
-
-
-def test_white_noise_magnus_run_loads_scipy_linalg_from_a_cold_start(tmp_path):
-    # fig5's shape: the white-noise Magnus mean is the one user of scipy.linalg
-    assert _cold_run(tmp_path, {"noncommuting_white": NONCOMMUTING_INI})
+    assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
 
 
 def test_undecodable_config_file_is_a_config_error(tmp_path, capsys):

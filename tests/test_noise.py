@@ -58,6 +58,22 @@ def test_variance_k_to_zero_limit():
         assert abs(v - v_wn) / v_wn < 1e-6
 
 
+def test_calibrated_variance_as_second_moment():
+    """From X0 = 0 the increment variance is E[X_t^2], which the closure
+    coefficients read: exact at k = 0, the stationary plateau at long
+    times, and a time array gives the scalar values elementwise."""
+    g, k = 0.3, 0.4
+    _, v = noise.terminal_increment_law(noise.ou_noise(g, 0.0), 2.0)
+    assert v == pytest.approx(g * g * 2.0, rel=1e-15)
+    _, v = noise.terminal_increment_law(noise.ou_noise(g, k), 1e3)
+    assert v == pytest.approx(g * g / (2 * k), rel=1e-15)
+    ts = np.array([0.0, 1.5, 1e3])
+    for kk in (0.0, k):
+        model = noise.ou_noise(g, kk)
+        want = [noise.terminal_increment_law(model, float(s))[1] for s in ts]
+        assert np.array_equal(noise.terminal_increment_law(model, ts)[1], want)
+
+
 def test_expected_cos_matches_characteristic_function():
     model = noise.ou_noise(0.2, 0.1)
     for t in (0.1, 1.0, 7.0):

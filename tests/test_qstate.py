@@ -71,18 +71,3 @@ def test_expect_value():
     assert abs(qstate.expect_value(qstate.SIGMA_Z, plus)) < 1e-12
     with pytest.raises(ValueError):
         qstate.expect_value(np.eye(4), plus)
-
-
-def test_mat_exp_rotation():
-    """exp(-i theta X) = cos(theta) I - i sin(theta) X for X^2 = I."""
-    theta = 0.7321
-    u = qstate.mat_exp(-1j * theta * qstate.SIGMA_X)
-    expected = np.cos(theta) * np.eye(2) - 1j * np.sin(theta) * qstate.SIGMA_X
-    assert np.max(np.abs(u - expected)) < 1e-14
-
-
-def test_mat_exp_guards():
-    with pytest.raises(ValueError):
-        qstate.mat_exp(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        qstate.mat_exp(np.array([[np.nan, 0], [0, 0]]))
