@@ -321,8 +321,8 @@ for path in sys.argv[1:]:
     assert cli.main(["run", path]) == 0, path
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
-# Every kind, both noises for noncommuting: the package needs numpy alone.
-COLD_INIS = {
+# Runs with a commuting drive, the closure scan and OU Magnus means.
+NO_SCIPY_INIS = {
     "pauli": TINY_INI,
     "projection": TINY_INI.replace("kind = pauli", "kind = projection").replace(
         "state = 0", "state = +").replace("noise_op = X", "noise_op = P1"),
@@ -330,16 +330,16 @@ COLD_INIS = {
         "state = 0", "state = 00").replace("noise_op = X", "base_op = X"),
     "distribution": TINY_INI.replace("kind = pauli", "kind = distribution").replace(
         "[output]", "[output]\nt_slices = 0.1"),
-    "noncommuting_white": NONCOMMUTING_INI,
     "noncommuting_ou": NONCOMMUTING_INI.replace("kind = white", "kind = ou").replace(
         "gamma = 0.2", "gamma = 0.2\nk = 0.5"),
     "approx-order": APPROX_INI,
 }
 
 
-def test_no_run_loads_scipy_from_a_cold_start(tmp_path):
+def _cold_run(tmp_path, inis):
+    """Scipy modules loaded by running `inis` in a fresh interpreter."""
     paths = []
-    for name, text in COLD_INIS.items():
+    for name, text in inis.items():
         path = tmp_path / f"{name}.ini"
         path.write_text(text.format(out=tmp_path / name))
         paths.append(str(path))
@@ -349,7 +349,16 @@ def test_no_run_loads_scipy_from_a_cold_start(tmp_path):
         env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
+    return proc.stdout.splitlines()[-1]
+
+
+def test_commuting_runs_never_load_scipy_linalg(tmp_path):
+    assert _cold_run(tmp_path, NO_SCIPY_INIS) == "[]"
+
+
+def test_white_noise_magnus_run_never_loads_scipy_from_a_cold_start(tmp_path):
+    # fig5's shape: the white-noise Magnus mean needs numpy's eigh alone
+    assert _cold_run(tmp_path, {"noncommuting_white": NONCOMMUTING_INI}) == "[]"
 
 
 def test_undecodable_config_file_is_a_config_error(tmp_path, capsys):
