@@ -354,9 +354,11 @@ def scenario_law(scn):
 
 def analytic_series(scn, times):
     """(mean, variance, diagnostics) at the given times; variance nan when
-    no closed form exists (noncommuting), whose diagnostics hold the Magnus
-    eps^2 = gamma^2/alpha (a warning when it is not small) and, under OU
-    noise, how many means left [0, 1]."""
+    no closed form exists (noncommuting).  There the Magnus mean comes from
+    one call over all the times, and the diagnostics hold eps^2 =
+    gamma^2/alpha (a warning when it is not small) and, under OU noise, how
+    many means left [0, 1] (NaN counts) and the stationary start the mean
+    assumes (a warning when the run starts calibrated)."""
     times = np.asarray(times, dtype=float)
     if scn.name == "noncommuting":
         eps_sq = scn.model.gamma**2 / scn.alpha
@@ -368,9 +370,12 @@ def analytic_series(scn, times):
         if scn.model.kind == noise_mod.WHITE:
             mean = magnus_mod.wn_mean_fidelity(*args, times)
         else:
-            approx = [magnus_mod.ou_second_order_mean(*args, t) for t in times]
-            mean = np.array([a.value for a in approx])
-            diagnostics["magnus_out_of_range"] = sum(not a.in_range for a in approx)
+            mean = magnus_mod.ou_second_order_mean(*args, times).value
+            diagnostics["magnus_out_of_range"] = int(np.sum(~((0 <= mean) & (mean <= 1))))
+            diagnostics["magnus_assumed_start"] = noise_mod.STATIONARY
+            if scn.model.init != noise_mod.STATIONARY:
+                warnings.warn(f"the OU Magnus mean assumes a stationary start; this run "
+                              f"starts {scn.model.init}", stacklevel=2)
         return mean, np.full(times.shape, np.nan), diagnostics
     mean, var = laws_mod.series_mean_variance(scenario_law(scn).series, scn.model, times)
     return mean, var, {}

@@ -91,17 +91,23 @@ def test_run_json_records_approximation_diagnostics(tmp_path):
         "kind = white", "kind = ou").replace("gamma = 0.2", "gamma = 0.2\nk = 1000").replace(
         "dt = 0.01", "dt = 0.0001").replace("record_every = 10", "record_every = 1000").replace(
         "n_paths = 40", "n_paths = 2")
-    assert cli.main(["run", write_config(tmp_path, text=noncommuting, out=tmp_path / "nc")]) == 0
+    # the config starts calibrated, the Magnus mean stationary: one warning
+    with pytest.warns(UserWarning, match="assumes a stationary start") as caught:
+        assert cli.main(["run", write_config(tmp_path, text=noncommuting,
+                                             out=tmp_path / "nc")]) == 0
+    assert sum("stationary start" in str(w.message) for w in caught) == 1
     diag = json.loads((tmp_path / "nc" / "run.json").read_text())["diagnostics"]
     rows = np.loadtxt(tmp_path / "nc" / "summary.csv", delimiter=",", skiprows=1)
     assert diag["epsilon_sq"] == pytest.approx(0.04)
     assert diag["magnus_out_of_range"] == np.count_nonzero(rows[:, 1] > 1) == 5
+    assert diag["magnus_assumed_start"] == "stationary"
     assert diag["sde_kernel"] == "dense"
 
     white = noncommuting.replace("kind = ou", "kind = white").replace("\nk = 1000", "")
     assert cli.main(["run", write_config(tmp_path, text=white, out=tmp_path / "wn")]) == 0
     diag = json.loads((tmp_path / "wn" / "run.json").read_text())["diagnostics"]
     assert diag["epsilon_sq"] == pytest.approx(0.04) and "magnus_out_of_range" not in diag
+    assert "magnus_assumed_start" not in diag
 
     assert cli.main(["run", write_config(tmp_path, text=APPROX_INI, out=tmp_path / "ap")]) == 0
     diag = json.loads((tmp_path / "ap" / "run.json").read_text())["diagnostics"]

@@ -106,9 +106,11 @@ def ou_second_order_reference(alpha, gamma, k, triple, phi0, t):
 
 
 def test_ou_second_order_matches_matrix_quadrature():
-    """The Liouville closed form against the ten-component expansion."""
+    """The Liouville closed form against the ten-component expansion, one
+    time per call and all the times in one call."""
     rng = np.random.default_rng(23)
     gamma, seen_out_of_range = 0.3, False
+    ts = np.array([0.0, 0.4, 2.5, 8.0])
     for triple in TRIPLES:
         phi0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         phi0 /= np.linalg.norm(phi0)
@@ -116,16 +118,27 @@ def test_ou_second_order_matches_matrix_quadrature():
             H, S = alpha * PAULI[triple[0]], PAULI[triple[1]]
             for k in (1e-8, 0.05, 1.0, 3.0):
                 model = noise.ou_noise(gamma, k)
-                for t in (0.0, 0.4, 2.5, 8.0):
+                batch = magnus.ou_second_order_mean(H, S, model, phi0, ts)
+                scalars = []
+                for i, t in enumerate(ts):
                     got = magnus.ou_second_order_mean(H, S, model, phi0, t)
                     want = ou_second_order_reference(alpha, gamma, k, triple, phi0, t)
+                    assert isinstance(got.value, float)
                     assert abs(got.value - want) <= 1e-13
+                    assert abs(batch.value[i] - want) <= 1e-13
                     assert got.in_range == (0.0 <= want <= 1.0)
+                    scalars.append(got)
                     seen_out_of_range |= not got.in_range
+                assert batch.value[0] == 1.0
+                per_time = (0.0 <= batch.value) & (batch.value <= 1.0)
+                assert per_time.tolist() == [a.in_range for a in scalars]
+                assert batch.in_range is all(a.in_range for a in scalars)
     assert seen_out_of_range  # the in_range comparison is not vacuous
     # e^{k t} alone overflows a double here; the decaying form stays finite
-    assert math.isfinite(
-        magnus.ou_second_order_mean(X, Z, noise.ou_noise(gamma, 400.0), KET0, 2.0).value)
+    fast = noise.ou_noise(gamma, 400.0)
+    assert math.isfinite(magnus.ou_second_order_mean(X, Z, fast, KET0, 2.0).value)
+    in_array = magnus.ou_second_order_mean(X, Z, fast, KET0, np.array([0.0, 0.5, 2.0]))
+    assert np.isfinite(in_array.value).all()
 
 
 def test_wn_means_match_the_ten_component_system():
@@ -166,7 +179,8 @@ def test_wn_mean_fidelity_is_the_exponential_of_its_hermitian_generator():
                 H, S = random_hermitian(rng, d), random_hermitian(rng, d)
                 phi0 = rng.standard_normal(d) + 1j * rng.standard_normal(d)
                 phi0 /= np.linalg.norm(phi0)
-                m, r = magnus._wn_exponent(H, S, model, phi0, ts)
+                dis, omega, r = magnus._frame(H, S, phi0)
+                m = magnus._wn_exponent(dis, omega, gamma, ts)
                 assert np.max(np.abs(m - m.conj().transpose(0, 2, 1))) <= 1e-15 * np.max(
                     np.abs(m))
                 want = [(r.conj() @ scipy.linalg.expm(mi) @ r).real for mi in m]
@@ -177,14 +191,17 @@ def test_wn_mean_fidelity_is_the_exponential_of_its_hermitian_generator():
                 assert isinstance(scalar, float) and scalar == got[3]
 
 
-def test_wn_mean_fidelity_over_several_blocks():
-    """A time array longer than one eigh block agrees with its pieces."""
-    model = noise.white_noise(0.3)
+@pytest.mark.parametrize("mean_fn, model", [
+    (magnus.wn_mean_fidelity, noise.white_noise(0.3)),
+    (lambda *args: magnus.ou_second_order_mean(*args).value, noise.ou_noise(0.3, 0.5)),
+], ids=["white", "ou"])
+def test_magnus_mean_over_several_blocks(mean_fn, model):
+    """A time array longer than one block agrees bit for bit with its pieces."""
     H = qstate.control_hamiltonian(1.0, 0.3, 0.5)
     ts = np.linspace(0.0, 20.0, magnus._BLOCK + 7)
-    whole = magnus.wn_mean_fidelity(H, Z, model, KET_PLUS, ts)
+    whole = mean_fn(H, Z, model, KET_PLUS, ts)
     cut = magnus._BLOCK // 2 + 3
-    pieces = [magnus.wn_mean_fidelity(H, Z, model, KET_PLUS, p) for p in (ts[:cut], ts[cut:])]
+    pieces = [mean_fn(H, Z, model, KET_PLUS, p) for p in (ts[:cut], ts[cut:])]
     assert whole.shape == ts.shape and np.array_equal(whole, np.concatenate(pieces))
 
 
@@ -300,6 +317,9 @@ def test_ou_second_order_guards_and_quadrature():
         want = (rho0.conj() @ eu @ rho0).real
         assert magnus.ou_second_order_mean(H, S, model, phi0, t).value == pytest.approx(
             want, abs=1e-12)
+        batch = magnus.ou_second_order_mean(H, S, model, phi0, np.array([0.0, t]))
+        assert batch.value[0] == 1.0 and batch.value[1] == pytest.approx(want, abs=1e-12)
+        assert batch.in_range == (0.0 <= want <= 1.0)
 
 
 def test_ou_second_order_against_monte_carlo():

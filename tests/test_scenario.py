@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sselab import laws, noise, qstate, scenario
+from sselab import laws, magnus, noise, qstate, scenario
 
 
 def minimal_cfg(**over):
@@ -161,3 +161,23 @@ def test_run_scenario_artifacts(tmp_path):
     assert (tmp_path / "out" / "summary.csv").exists()
     assert (tmp_path / "out" / "run.json").exists()
     assert scenario.check_run(result) == []
+
+
+def test_ou_magnus_mean_is_one_call_over_the_recorded_grid(tmp_path, monkeypatch):
+    """A noncommuting OU run asks for its Magnus mean once, with every
+    recorded time, not once per time."""
+    calls = []
+    batched = magnus.ou_second_order_mean
+
+    def counted(H, S, model, phi0, t):
+        calls.append(np.array(t, copy=True))
+        return batched(H, S, model, phi0, t)
+
+    monkeypatch.setattr(magnus, "ou_second_order_mean", counted)
+    scn = scenario.resolve(minimal_cfg(
+        scenario={"kind": "noncommuting", "hamiltonian": "X", "noise_op": "Z"},
+        noise={"kind": "ou", "gamma": "0.2", "k": "1.0", "init": "stationary"},
+        output={"dir": str(tmp_path / "out")}))
+    result = scenario.run_scenario(scn)
+    assert len(calls) == 1
+    assert len(result.sim.times) > 2 and np.array_equal(calls[0], result.sim.times)
