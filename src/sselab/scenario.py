@@ -479,10 +479,11 @@ def _slot_for(scn, t):
 
 def _write_csv(path, header, columns):
     """A CSV of equal-length float columns, each value written as its repr."""
-    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    cols = [np.asarray(c, dtype=float).tolist() for c in columns]
+    line = ",".join(["{!r}"] * len(cols)) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
+        fh.write("".join(map(line.format, *cols)))
     return path
 
 

@@ -38,8 +38,11 @@ ratio of consecutive norms.  One pass over the stack after the loop
 then gives the norms, the abort test (non-finite or > ABORT_NORM norm,
 non-finite X), the norm drift, and the fidelities and kept states at
 the recorded steps; kept states are mapped back to psi with V at the
-end.  Every array a chunk uses is allocated once per run and written
-in place: the weights' constant row once, their other rows, the X path
+end.  The weights are stored monomial-major, each monomial's weights
+over the chunk one contiguous (steps, paths) slab, and each step's
+factors come from a small product over that step's strided view.
+Every array a chunk uses is allocated once per run and written in
+place: the weights' constant slab once, their other slabs, the X path
 and the normals of the chunk (copied from the block, step-major) per
 chunk.  The abort test and the drift read only the largest and the
 smallest norm of a chunk in which no path goes bad.  A renormalizing
@@ -53,8 +56,9 @@ phi0 itself, so it is exactly 1 for a basis state at H = 0.
 Reproducibility: path i draws from its own Philox(master_seed, i)
 stream, in a fixed order (initial noise value first, then one normal
 per step), so the output depends only on the config and the seed.  One
-generator serves every path, with each path's stream state swapped in
-for its draws.
+generator serves every path: the first block of normals sets each
+path's fresh stream from one reused state dict, its key edited in
+place, and later blocks swap in the state each path left.
 """
 
 import math
@@ -83,9 +87,10 @@ BLOCK_NORMALS = 2**20
 # bytes per path-step: the weights 8 per monomial (48 for Platen, 24 for
 # Euler-Maruyama), the unnormalized states 16 d, the step factors 16 d per
 # shift, and 33 for the noise increments, the squared norms, the norms,
-# a scratch row and a finiteness mask.  That is 1.2 MB at d = 2 and 1.7 MB
-# at d = 4 with the one shift of a commuting Platen run, 1.45 MB at d = 2
-# with two (decimal MB).  The output does not depend on it.
+# a scratch row and a finiteness mask; a few vectors over the paths come
+# on top.  That is 1.2 MB at d = 2 and 1.7 MB at d = 4 with the one shift
+# of a commuting Platen run, 1.45 MB at d = 2 with two (decimal MB).  The
+# output does not depend on it.
 CHUNK_VALUES = 2**13
 # A renormalizing run rescales psi only at step numbers divisible by this.
 # A live path's norm changes by at most ABORT_NORM per step, so between
@@ -308,18 +313,18 @@ def simulate_paths(H, S, model, phi0, config):
 
     # Path i draws from Philox(key=[seed, i]): its initial noise value, then
     # one normal per step, a block of steps at a time.  One generator serves
-    # all paths: a path's stream state is swapped in for its draws and, if
-    # it has more to draw, out after them.  That is far cheaper than
-    # building a Philox per path.
+    # all paths.  For the first block one state dict is reused, its key
+    # edited in place per path (the setter copies it); a path with more to
+    # draw keeps its stream state for the next block, which swaps it back
+    # in.  That is far cheaper than building a Philox per path.
     seed = config.master_seed & (2**64 - 1)
     bitgen = np.random.Philox()
     gen = np.random.Generator(bitgen)
     zero = np.zeros(4, dtype=np.uint64)
-    streams = [
-        {"bit_generator": "Philox", "buffer": zero, "buffer_pos": 4, "has_uint32": 0,
-         "uinteger": 0, "state": {"counter": zero, "key": np.array([seed, i], dtype=np.uint64)}}
-        for i in range(n_paths)
-    ]
+    key = np.array([seed, 0], dtype=np.uint64)
+    fresh = {"bit_generator": "Philox", "buffer": zero, "buffer_pos": 4, "has_uint32": 0,
+             "uinteger": 0, "state": {"counter": zero, "key": key}}
+    streams = [None] * n_paths
     x0s = np.zeros(n_paths)
     block = min(TIME_BLOCK, max(1, BLOCK_NORMALS // n_paths))
     normals = np.empty((n_paths, min(block, n_steps)))
@@ -327,9 +332,12 @@ def simulate_paths(H, S, model, phi0, config):
     def draw_block(start):
         tb = min(block, n_steps - start)
         for i in range(n_paths):
-            bitgen.state = streams[i]
             if start == 0:
+                key[1] = i
+                bitgen.state = fresh
                 x0s[i] = noise_mod.draw_initial(model, gen)
+            else:
+                bitgen.state = streams[i]
             gen.standard_normal(out=normals[i, :tb])
             if start + tb < n_steps:
                 streams[i] = bitgen.state
@@ -340,15 +348,18 @@ def simulate_paths(H, S, model, phi0, config):
     renorm = config.renormalize
     chunk = max(1, min(CHUNK_VALUES // n_paths, block, n_steps))
     # The chunk's buffers are allocated once: fresh ones cost page faults.
-    # W[s] holds the monomial weights (1, x, N, x^2, xN, N^2)[:terms] of the
-    # chunk's s-th step, each a row over the paths.  W has a step more, for
-    # its x rows: X[s] is the noise value before the chunk's s-th step, and
-    # X[0] carries it over from the previous chunk.
-    W = np.empty((chunk + 1, terms, n_paths))
-    W[:, 0] = 1.0
-    X = W[:, 1]
+    # W[m] holds the monomial weight m of (1, x, N, x^2, xN, N^2)[:terms] at
+    # each of the chunk's steps, one contiguous (steps, paths) slab per
+    # monomial.  W has a step more, for its x slab: X[s] is the noise value
+    # before the chunk's s-th step, and X[0] carries it over from the
+    # previous chunk.
+    W = np.empty((terms, chunk + 1, n_paths))
+    W[0] = 1.0
+    X = W[1]
     X[0] = x0s
     anN = np.empty((chunk, n_paths))
+    axv = np.full(n_paths, ax)
+    mul, add = np.multiply, np.add
     # Lists of row views: a step indexes a list, not an array.
     Xs, anNs = list(X), list(anN)
     # The factors of shift 0 and of the other shifts, each shift's in a
@@ -400,38 +411,41 @@ def simulate_paths(H, S, model, phi0, config):
             for c0 in range(0, tb, chunk):
                 # the noise path and the weights never read psi
                 nc = min(chunk, tb - c0)
-                N = W[:nc, 2]
+                N = W[2, :nc]
                 np.copyto(N, normals[:, c0:c0 + nc].T)
-                np.multiply(N, an, out=anN[:nc])
+                mul(N, an, anN[:nc])
                 for prev, nxt, kick in zip(Xs, Xs[1:nc + 1], anNs):
-                    np.multiply(prev, ax, out=nxt)
-                    np.add(nxt, kick, out=nxt)
+                    mul(prev, axv, nxt)
+                    add(nxt, kick, nxt)
                 if terms == 6:
                     x = X[:nc]
-                    np.multiply(x, x, out=W[:nc, 3])
-                    np.multiply(x, N, out=W[:nc, 4])
-                    np.multiply(N, N, out=W[:nc, 5])
+                    mul(x, x, W[3, :nc])
+                    mul(x, N, W[4, :nc])
+                    mul(N, N, W[5, :nc])
                 # every step's factors G_o = sum_m w_m lam_m,o, as one small
                 # product per step, so that a step's factors do not depend
                 # on the chunk length
-                w = W[:nc].transpose(0, 2, 1)
+                w = W[:, :nc].transpose(1, 2, 0)
                 np.matmul(w, lam[0], out=G0[:nc])
                 np.matmul(w[:, None], lam[1:], out=G1[:nc])
                 # Only the linear update runs per step.  A renormalizing run
                 # rescales at absolute step numbers divisible by
-                # _RESCALE_EVERY, keeping the norm before the rescale.
+                # _RESCALE_EVERY (the chunk's steps due, due + _RESCALE_EVERY,
+                # ...), keeping the norm before the rescale.
                 rescaled = {}
+                due = (-step_no - 1) % _RESCALE_EVERY if renorm else nc
                 for s in range(nc):
-                    np.multiply(Cs[s], Gs[s], out=Cs[s + 1])
+                    mul(Cs[s], Gs[s], Cs[s + 1])
                     if rolls:
                         for g, roll in zip(Gxs[s], rolls):
                             Cs[s].take(roll, axis=1, out=rolled)
-                            rolled *= g
-                            Cs[s + 1] += rolled
-                    if renorm and (step_no + s + 1) % _RESCALE_EVERY == 0:
+                            mul(rolled, g, rolled)
+                            add(Cs[s + 1], rolled, Cs[s + 1])
+                    if s == due:
                         n = np.sqrt(_sq_norms(Psi[s + 1]))
                         np.divide(Psi[s + 1], n, out=Psi[s + 1], where=n > 0)
                         rescaled[s] = n
+                        due += _RESCALE_EVERY
                 _sq_norms(Psi[1:nc + 1], out=sq[1:nc + 1], tmp=tmp[:nc])
                 np.sqrt(sq[:nc + 1], out=nrm[:nc + 1])
                 # the norm each step produced: of psi itself without

@@ -181,3 +181,18 @@ def test_ou_magnus_mean_is_one_call_over_the_recorded_grid(tmp_path, monkeypatch
     result = scenario.run_scenario(scn)
     assert len(calls) == 1
     assert len(result.sim.times) > 2 and np.array_equal(calls[0], result.sim.times)
+
+
+def test_csv_writes_each_value_as_its_repr(tmp_path):
+    """Each row is the comma join of its values' reprs, edge values included."""
+    cols = ([0.0, float("nan"), 1.0], [float("inf"), -0.0, 5e-324],
+            np.array([0.1 + 0.2, -float("inf"), 2.0**-1074]))
+    path = scenario._write_csv(str(tmp_path / "x.csv"), "a,b,c", cols)
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in cols))
+    expected = "a,b,c\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+    with open(path) as fh:
+        got = fh.read()
+    assert got == expected
+    assert got.splitlines()[2] == "nan,-0.0,-inf"
+    assert got.splitlines()[3] == "1.0,5e-324,5e-324"
+    assert got.splitlines()[1] == "0.0,inf,0.30000000000000004"

@@ -393,6 +393,37 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("scheme", sde.SCHEMES)
+@pytest.mark.parametrize("model", [
+    noise.ou_noise(0.3, 0.5, init=noise.STATIONARY),
+    noise.ou_noise(0.4, 2.0),
+    noise.white_noise(0.6),
+], ids=["stationary_ou", "calibrated_ou", "white"])
+def test_noise_path_is_its_plain_recurrence(monkeypatch, model, scheme):
+    # Each path's X, replayed one step at a time in Python floats from its
+    # own Philox(seed, i) stream as x = ax * x + an * N, bit for bit: the
+    # recurrence is neither fused nor reordered, in one block of normals
+    # and across blocks of 37 steps (111 normals over 3 paths).
+    cfg = sde.SimConfig(dt=1e-2, T=1.0, n_paths=3, master_seed=9, scheme=scheme,
+                        keep_states=True)
+    _, (ax, an) = sde._step_map(ZERO_H, qstate.SIGMA_X, model, scheme, cfg.dt)
+    want = np.empty((cfg.n_paths, cfg.n_steps + 1))
+    for i in range(cfg.n_paths):
+        stream = np.random.Generator(
+            np.random.Philox(key=np.array([cfg.master_seed, i], dtype=np.uint64)))
+        x = noise.draw_initial(model, stream)
+        want[i, 0] = x
+        for n in range(1, cfg.n_steps + 1):
+            x = ax * x + an * float(stream.standard_normal())
+            want[i, n] = x
+    for cap in (None, 111):
+        if cap:
+            monkeypatch.setattr(sde, "BLOCK_NORMALS", cap)
+        res = sde.simulate_paths(ZERO_H, qstate.SIGMA_X, model, KET0, cfg)
+        assert res.aborted == ()
+        assert _same_bits(res.xs, want), cap
+
+
 @pytest.mark.parametrize("ops", [
     (ZERO_H, qstate.SIGMA_X, [0]),
     (qstate.SIGMA_X, qstate.SIGMA_Z, [0, 1]),
@@ -401,22 +432,27 @@ def _same_bits(a, b):
 def test_chunk_length_keeps_output_bit_for_bit(monkeypatch, ops):
     # Chunks of 1, 4, 5 and 37 steps reuse the same buffers across chunks,
     # and a run in them gives the output of one chunk per run, bit for bit,
-    # kept states included.  The coarse Euler run aborts at steps 1, 4, 4,
-    # 5 and 11, so chunks of 4 and 5 end on an abort; the OU run's 250
+    # kept states included, with 6 paths and with one.  The coarse Euler
+    # run aborts at steps 1, 4, 4, 5 and 11, so chunks of 4 and 5 end on an abort; the OU run's 250
     # steps leave a partial final chunk at 4 and 37.
     H, S, shifts = ops
     d = len(H)
     phi0 = np.eye(d, dtype=complex)[0]
     M, _ = sde._step_map(H, S, noise.white_noise(1.0), sde.PLATEN_WEAK2, 1e-3)
     assert sde._eigenbasis(M, H, S)[1] == shifts
-    ou = (noise.ou_noise(0.3, 0.5, init=noise.STATIONARY),
-          sde.SimConfig(dt=2e-3, T=0.5, n_paths=6, master_seed=5, record_every=25,
-                        keep_states=True))
+    stationary = noise.ou_noise(0.3, 0.5, init=noise.STATIONARY)
+    ou = (stationary, sde.SimConfig(dt=2e-3, T=0.5, n_paths=6, master_seed=5,
+                                    record_every=25, keep_states=True))
+    # one path, whose weights are a single row for the per-step product
+    one = [(stationary, sde.SimConfig(dt=2e-3, T=0.5, n_paths=1, master_seed=5,
+                                      record_every=25, keep_states=True,
+                                      renormalize=renorm))
+           for renorm in (True, False)]
     coarse = (noise.white_noise(1.45),
               sde.SimConfig(dt=0.05, T=1.0, n_paths=1000, master_seed=3,
                             scheme=sde.EULER_MARUYAMA, keep_states=True))
     fields = ("fidelities", "states", "xs", "initial_x", "terminal_x", "path_indices")
-    for model, cfg in (ou, coarse):
+    for model, cfg in (ou, *one, coarse):
         monkeypatch.setattr(sde, "CHUNK_VALUES", 10**9)
         ref = sde.simulate_paths(H, S, model, phi0, cfg)
         for chunk in (1, 4, 5, 37):
