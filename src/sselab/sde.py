@@ -53,6 +53,10 @@ and its rows are dropped.  The noiseless targets at all recorded times
 come from one eigendecomposition of H.  F at t = 0 is computed from
 phi0 itself, so it is exactly 1 for a basis state at H = 0.
 
+The summary at each recorded time sums over the completed paths in path
+order (an accumulate along the path axis, which is sequential for every
+shape), and the squared deviations from the mean are products.
+
 Reproducibility: path i draws from its own Philox(master_seed, i)
 stream, in a fixed order (initial noise value first, then one normal
 per step), so the output depends only on the config and the seed.  One
@@ -507,15 +511,20 @@ def simulate_paths(H, S, model, phi0, config):
         )
     fid_rows = np.clip(fid_rows, 0.0, 1.0)
 
+    # Sums over the paths run in path order: an accumulate is sequential for
+    # every shape, where a reduce sums pairwise over a single column.  The
+    # partial sums' buffer then holds the squared deviations.
     n_eff = len(rows)
     mean = np.full(n_rec, np.nan)
     var = np.full(n_rec, np.nan)
     stderr = np.full(n_rec, np.nan)
     if n_eff >= 1:
-        mean = np.array([math.fsum(col) for col in fid_rows.T.tolist()]) / n_eff
+        acc = np.cumsum(fid_rows, axis=0)
+        mean = acc[-1] / n_eff
     if n_eff >= 2:
-        dev = ((fid_rows - mean) ** 2).T.tolist()
-        var = np.array([math.fsum(col) for col in dev]) / (n_eff - 1)
+        dev = np.subtract(fid_rows, mean, out=acc)
+        np.multiply(dev, dev, out=dev)
+        var = np.cumsum(dev, axis=0, out=dev)[-1] / (n_eff - 1)
         stderr = np.sqrt(var / n_eff)
     summary = SummaryTable(
         times=times, mean_f=mean, var_f=var, stderr_f=stderr, n_effective=n_eff

@@ -426,20 +426,26 @@ def test_criterion_09_integrator_quality():
 
 
 def test_criterion_10_thread_determinism(tmp_path, monkeypatch):
+    # The paths run in one thread; what splits their work is the step
+    # loop's chunk of sde.CHUNK_VALUES path-steps and the block of
+    # sde.BLOCK_NORMALS normals drawn at once.  At 100 paths the splits
+    # below give chunks of 81, 5 and 1 steps and blocks of 2048, 9 and 3.
     blobs = {}
-    for threads in ("1", "4", "8"):
-        monkeypatch.setenv("SSELAB_THREADS", threads)
-        out = tmp_path / f"threads{threads}"
+    for values, normals in ((2**13, 2**20), (2**9, 999), (37, 333)):
+        monkeypatch.setattr(sde, "CHUNK_VALUES", values)
+        monkeypatch.setattr(sde, "BLOCK_NORMALS", normals)
+        out = tmp_path / f"split{values}_{normals}"
         code = cli.main(["run", "fig3", "--paths", "100",
                          "--out", str(out)])
         assert code == 0
         meta = json.loads((out / "run.json").read_text())
         meta["config"]["output"].pop("dir")
-        blobs[threads] = (
+        blobs[values, normals] = (
             (out / "summary.csv").read_bytes(),
             (out / "closure.csv").read_bytes(),
             json.dumps(meta, sort_keys=True),
         )
-    assert blobs["1"] == blobs["4"] == blobs["8"]
-    print("criterion 10: summary.csv and closure.csv byte-identical "
-          "across 1/4/8 threads")
+    first, *rest = blobs.values()
+    assert all(blob == first for blob in rest)
+    print("criterion 10: summary.csv, closure.csv and run.json byte-identical "
+          "across three chunk and block lengths")

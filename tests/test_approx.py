@@ -170,23 +170,25 @@ def test_integrate_closure_matches_rk4_loop(make, g, k, s0):
 def test_closure_scan_working_set_stays_flat():
     system = approx.second_order_system(0.2, 0.1, 0.0)
     approx.integrate_closure(system, 0.3)  # numpy's first-call allocations
-    tracemalloc.start()
-    try:
-        approx.integrate_closure(system, 3.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2e6, peak
+    # 3000 steps are one chunk; 10000 are two full chunks and a tail
+    for T in (3.0, 10.0):
+        tracemalloc.start()
+        try:
+            approx.integrate_closure(system, T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6, (T, peak)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     make=st.sampled_from([approx.first_order_system, approx.second_order_system]),
     g=st.floats(0.0, 1.0), k=st.floats(0.0, 2.0), s0=st.floats(0.0, 1.0),
-    # 2047-2049 straddle a chunk; 700 is 26 blocks of 27 steps, not a square
-    steps=st.sampled_from([255, 256, 257, 513, 700, 2047, 2048, 2049]),
+    # 255-257 straddle a square; 700 is 26 blocks of 27 steps, not a square
+    steps=st.sampled_from([255, 256, 257, 513, 700]),
 )
-def test_integrate_closure_matches_rk4_loop_around_chunk_edges(make, g, k, s0, steps):
+def test_integrate_closure_matches_rk4_loop_around_block_edges(make, g, k, s0, steps):
     system = make(g, k, s0)
     T = steps * approx.DEFAULT_DT
     series = approx.integrate_closure(system, T)
@@ -194,6 +196,20 @@ def test_integrate_closure_matches_rk4_loop_around_chunk_edges(make, g, k, s0, s
     assert series.times.shape == want.shape == (steps + 1,)
     assert np.abs(series.fidelity - want).max() <= 1e-12
     assert series.imag_residue == residue
+
+
+def test_integrate_closure_matches_rk4_loop_around_chunk_edges():
+    # one step short of a full chunk, a full chunk, and one step into the
+    # next, each against the prefix of one longer loop
+    edge = approx._CHUNK
+    for make in (approx.first_order_system, approx.second_order_system):
+        system = make(0.7, 1.3, 0.4)
+        want, residue = rk4_loop(system, (edge + 1) * approx.DEFAULT_DT)
+        for steps in (edge - 1, edge, edge + 1):
+            series = approx.integrate_closure(system, steps * approx.DEFAULT_DT)
+            assert series.times.shape == (steps + 1,)
+            assert np.abs(series.fidelity - want[:steps + 1]).max() <= 1e-12, (make, steps)
+            assert series.imag_residue == residue
 
 
 @pytest.mark.parametrize("make", [approx.first_order_system, approx.second_order_system])

@@ -197,14 +197,18 @@ def test_run_writes_stage_timings(tmp_path, capsys):
 
 
 def test_thread_count_does_not_change_output(tmp_path, monkeypatch):
-    blobs = {}
-    for threads in ("1", "4", "8"):
-        monkeypatch.setenv("SSELAB_THREADS", threads)
-        out = tmp_path / f"t{threads}"
+    # Paths run in one thread, so the work is split only by the step loop's
+    # chunk and the block of normals: at 40 paths, chunks of 50 (the whole
+    # run), 12 and 1 steps and blocks of 50, 24 and 2.
+    blobs = []
+    for values, normals in ((2**13, 2**20), (2**9, 999), (37, 111)):
+        monkeypatch.setattr(sde, "CHUNK_VALUES", values)
+        monkeypatch.setattr(sde, "BLOCK_NORMALS", normals)
+        out = tmp_path / f"split{values}_{normals}"
         cfg = write_config(tmp_path, out=out)
         assert cli.main(["run", cfg]) == 0
-        blobs[threads] = (out / "summary.csv").read_bytes()
-    assert blobs["1"] == blobs["4"] == blobs["8"]
+        blobs.append((out / "summary.csv").read_bytes())
+    assert blobs[0] == blobs[1] == blobs[2]
 
 
 APPROX_INI = TINY_INI.replace("kind = pauli", "kind = approx-order").replace(

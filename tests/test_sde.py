@@ -1,5 +1,6 @@
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from sselab import laws, noise, qstate, sde
 ZERO_H = np.zeros((2, 2), dtype=complex)
 _I2 = np.eye(2)
 KET0 = np.array([1.0, 0.0], dtype=complex)
+_U = Fraction(1, 2**53)  # unit round-off of a double
 
 
 @dataclass
@@ -476,6 +478,15 @@ def test_simulate_paths_abort_budget():
         sde.simulate_paths(ZERO_H, qstate.SIGMA_X, model, KET0, cfg)
 
 
+def _dead_path_case():
+    """The run of test_dead_path_overflows_silently: path 16 of 200 dies."""
+    model = noise.ou_noise(10.0, 3.1e-306, init=noise.STATIONARY)
+    phi0 = np.array([math.sqrt(1 - 1e-4), 1e-2], dtype=complex)
+    cfg = sde.SimConfig(dt=1e-6, T=2e-5, n_paths=200, master_seed=1,
+                        renormalize=False, record_every=5)
+    return ZERO_H, qstate.PROJ_1, model, phi0, cfg
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_dead_path_overflows_silently():
     # Stationary OU with sigma = gamma / sqrt(2k) = 4e153: a path whose noise
@@ -483,10 +494,7 @@ def test_dead_path_overflows_silently():
     # dies there, then runs on to the end of its chunk with inf and nan
     # entries.  That must stay silent, and the live paths must be as if it
     # had never been there.
-    model = noise.ou_noise(10.0, 3.1e-306, init=noise.STATIONARY)
-    phi0 = np.array([math.sqrt(1 - 1e-4), 1e-2], dtype=complex)
-    cfg = sde.SimConfig(dt=1e-6, T=2e-5, n_paths=200, master_seed=1,
-                        renormalize=False, record_every=5)
+    _, _, model, phi0, cfg = _dead_path_case()
     assert cfg.n_steps * cfg.n_paths <= sde.CHUNK_VALUES  # one chunk
     res = sde.simulate_paths(ZERO_H, qstate.PROJ_1, model, phi0, cfg)
     assert res.aborted == ((16, 1),)
@@ -533,27 +541,55 @@ def test_rescaling_keeps_a_growing_map_in_range(monkeypatch):
 
 
 def test_summary_matches_column_loop():
-    # the summary statistics against a transcription of the per-column loop
+    # The summary against a transcription of its rule: per recorded time,
+    # the fidelities summed one by one in path order, and the squared
+    # deviations from the mean as products, summed likewise.
     model = noise.ou_noise(0.4, 0.5, init=noise.STATIONARY)
-    for n_paths, dt, T, rec in ((50, 1e-3, 0.25, 1), (500, 1e-2, 0.15, 1),
-                                (100, 1e-2, 0.3, 1)):
-        cfg = sde.SimConfig(dt=dt, T=T, n_paths=n_paths, master_seed=11,
-                            record_every=rec)
-        res = sde.simulate_paths(ZERO_H, qstate.SIGMA_X, model, KET0, cfg)
+    phi0 = np.array([0.1, 0.2j])
+    phi0 /= np.linalg.norm(phi0)
+    runs = [(ZERO_H, qstate.SIGMA_X, model, KET0,
+             sde.SimConfig(dt=dt, T=T, n_paths=n_paths, master_seed=11))
+            for n_paths, dt, T in ((50, 1e-3, 0.25), (500, 1e-2, 0.15),
+                                   (100, 1e-2, 0.3), (1, 1e-2, 0.2), (2, 1e-2, 0.2))]
+    runs += [
+        # one recorded time: every path's F(0) is 1 - 3e-16 here, and the
+        # 50 copies summed pairwise would round otherwise
+        (qstate.SIGMA_Z, qstate.SIGMA_X, model, phi0,
+         sde.SimConfig(dt=1e-2, T=0.0, n_paths=50, master_seed=11)),
+        # 2500 steps cross a block of normals
+        (ZERO_H, qstate.SIGMA_X, model, KET0,
+         sde.SimConfig(dt=1e-3, T=2.5, n_paths=3, master_seed=11, record_every=10)),
+        _dead_path_case(),
+    ]
+    assert runs[-2][-1].n_steps > sde.TIME_BLOCK
+    for H, S, mod, psi0, cfg in runs:
+        res = sde.simulate_paths(H, S, mod, psi0, cfg)
         fids = res.fidelities
         n = len(fids)
-        mean, var, stderr = (np.empty(fids.shape[1]) for _ in range(3))
+        assert n == cfg.n_paths - len(res.aborted)
+        mean, var, stderr = (np.full(fids.shape[1], np.nan) for _ in range(3))
         for j in range(fids.shape[1]):
-            col = fids[:, j]
-            m = math.fsum(col) / n
-            mean[j] = m
-            # (c - m) ** 2 would call libm pow, which can round a square
-            # one ulp off; a product is correctly rounded, as numpy's is
-            var[j] = math.fsum((c - m) * (c - m) for c in col) / (n - 1)
-            stderr[j] = math.sqrt(var[j] / n)
-        assert np.array_equal(res.summary.mean_f, mean)
-        assert np.array_equal(res.summary.var_f, var)
-        assert np.array_equal(res.summary.stderr_f, stderr)
+            col = fids[:, j].tolist()
+            acc = 0.0
+            for f in col:
+                acc = acc + f
+            # Recursive summation of n non-negative terms is within
+            # gamma_(n-1) = (n - 1) u / (1 - (n - 1) u) relative of their
+            # exact sum (Higham 2002, sec. 4.2).  The bound is on the sum:
+            # dividing by n rounds once more, on either side.
+            exact = sum(map(Fraction, col))
+            gamma = (n - 1) * _U / (1 - (n - 1) * _U)
+            assert abs(Fraction(acc) - exact) <= gamma * exact, (cfg, j)
+            m = mean[j] = acc / n
+            if n >= 2:
+                acc = 0.0
+                for c in col:
+                    acc = acc + (c - m) * (c - m)
+                var[j] = acc / (n - 1)
+                stderr[j] = math.sqrt(var[j] / n)
+        for got, want in ((res.summary.mean_f, mean), (res.summary.var_f, var),
+                          (res.summary.stderr_f, stderr)):
+            assert _same_bits(got, want), cfg
 
 
 def test_negative_seeds_get_their_own_streams():
