@@ -148,6 +148,7 @@ def integrate_closure(system, T, dt=DEFAULT_DT):
         for bit, s in enumerate((0.0, 0.5 * dt, dt)):
             w[:, [m for m in range(7) if m >> bit & 1]] *= system.c_fn(t + s)[:, None]
         q = np.matmul(w.reshape(size, blocks, 7), coef).reshape(size, blocks, d, d)
+        del w  # the chunk's peak is this product; its input need not outlive it
         q.reshape(size, blocks, d * d)[:, :, ::d + 1] += 1.0
         for j in range(1, size):
             q[j] = q[j] @ q[j - 1]
@@ -157,5 +158,5 @@ def integrate_closure(system, T, dt=DEFAULT_DT):
             starts[blk] = q[-1, blk - 1] @ starts[blk - 1]
         first[start + 1:start + n + 1] = np.einsum("jbk,bk->bj", q[:, :, 0], starts).ravel()[:n]
         x = q[(n - 1) % size, (n - 1) // size] @ starts[(n - 1) // size]
-        del q, w  # so that the next chunk's stacks replace these, not join them
+        del q  # so that the next chunk's stack replaces this one, not joins it
     return ClosureSeries(times=np.arange(n_steps + 1) * dt, fidelity=first, imag_residue=0.0)

@@ -511,9 +511,7 @@ def simulate_paths(H, S, model, phi0, config):
         )
     fid_rows = np.clip(fid_rows, 0.0, 1.0)
 
-    # Sums over the paths run in path order: an accumulate is sequential for
-    # every shape, where a reduce sums pairwise over a single column.  The
-    # partial sums' buffer then holds the squared deviations.
+    # sums in path order: an accumulate is sequential, a reduce may be pairwise
     n_eff = len(rows)
     mean = np.full(n_rec, np.nan)
     var = np.full(n_rec, np.nan)
