@@ -22,11 +22,12 @@ chunk's step matrices are their (n, 7) @ (7, d^2) product, taken as one
 small GEMM per step of a block (OpenBLAS threads one 4096-row GEMM, and
 on a loaded 2-core machine that took 8 ms against 0.08 ms for the 64
 small ones).  I is added after it, as an I in the constant coefficient
-would round I + hA alike on every step and bias a long scan.  The recurrence x_{i+1} = P_i x_i is a
-blocked prefix product over about sqrt(n) blocks of about sqrt(n)
-steps: one batched matmul per step of a block, one matvec per block to
-chain the block ends, and one batched product for every step's first
-component.  The working set is one chunk of at most 4096 steps.
+would round I + hA alike on every step and bias a long scan.  The
+recurrence x_{i+1} = P_i x_i is a blocked prefix product over about
+sqrt(n) blocks of about sqrt(n) steps: one batched matmul per step of a
+block, one matvec per block to chain the block ends, and one batched
+product for every step's first component.  The working set is one chunk
+of at most 4096 steps.
 """
 
 import math
@@ -148,7 +149,6 @@ def integrate_closure(system, T, dt=DEFAULT_DT):
         for bit, s in enumerate((0.0, 0.5 * dt, dt)):
             w[:, [m for m in range(7) if m >> bit & 1]] *= system.c_fn(t + s)[:, None]
         q = np.matmul(w.reshape(size, blocks, 7), coef).reshape(size, blocks, d, d)
-        del w  # the chunk's peak is this product; its input need not outlive it
         q.reshape(size, blocks, d * d)[:, :, ::d + 1] += 1.0
         for j in range(1, size):
             q[j] = q[j] @ q[j - 1]
@@ -158,5 +158,5 @@ def integrate_closure(system, T, dt=DEFAULT_DT):
             starts[blk] = q[-1, blk - 1] @ starts[blk - 1]
         first[start + 1:start + n + 1] = np.einsum("jbk,bk->bj", q[:, :, 0], starts).ravel()[:n]
         x = q[(n - 1) % size, (n - 1) // size] @ starts[(n - 1) // size]
-        del q  # so that the next chunk's stack replaces this one, not joins it
+        del q, w  # so that the next chunk's stacks replace these, not join them
     return ClosureSeries(times=np.arange(n_steps + 1) * dt, fidelity=first, imag_residue=0.0)

@@ -430,7 +430,7 @@ def test_criterion_10_thread_determinism(tmp_path, monkeypatch):
     # loop's chunk of sde.CHUNK_VALUES path-steps and the block of
     # sde.BLOCK_NORMALS normals drawn at once.  At 100 paths the splits
     # below give chunks of 81, 5 and 1 steps and blocks of 2048, 9 and 3.
-    blobs = {}
+    blobs = []
     for values, normals in ((2**13, 2**20), (2**9, 999), (37, 333)):
         monkeypatch.setattr(sde, "CHUNK_VALUES", values)
         monkeypatch.setattr(sde, "BLOCK_NORMALS", normals)
@@ -440,12 +440,11 @@ def test_criterion_10_thread_determinism(tmp_path, monkeypatch):
         assert code == 0
         meta = json.loads((out / "run.json").read_text())
         meta["config"]["output"].pop("dir")
-        blobs[values, normals] = (
+        blobs.append((
             (out / "summary.csv").read_bytes(),
             (out / "closure.csv").read_bytes(),
             json.dumps(meta, sort_keys=True),
-        )
-    first, *rest = blobs.values()
-    assert all(blob == first for blob in rest)
+        ))
+    assert blobs[0] == blobs[1] == blobs[2]
     print("criterion 10: summary.csv, closure.csv and run.json byte-identical "
           "across three chunk and block lengths")

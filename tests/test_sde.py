@@ -582,6 +582,8 @@ def test_summary_matches_column_loop():
             assert abs(Fraction(acc) - exact) <= gamma * exact, (cfg, j)
             m = mean[j] = acc / n
             if n >= 2:
+                # (c - m) ** 2 would call libm pow, which can round a square
+                # one ulp off; a product is correctly rounded, as numpy's is
                 acc = 0.0
                 for c in col:
                     acc = acc + (c - m) * (c - m)
