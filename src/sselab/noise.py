@@ -65,11 +65,17 @@ def _phi1(z):
     return np.where(z == 0.0, 1.0, -np.expm1(-safe) / safe)
 
 
-def draw_initial(model, stream):
-    """Draw X0 per the model's init convention from the given stream."""
+def initial_draws(model):
+    """Standard normals X0 takes from a path's stream: 1 stationary, else 0."""
+    return int(model.init == STATIONARY)
+
+
+def initial_x(model, z):
+    """X0 per path by the model's init convention, from z of shape
+    (paths, initial_draws(model)): gamma z / sqrt(2k) stationary, else 0."""
     if model.init == STATIONARY:
-        return model.gamma * stream.standard_normal() / math.sqrt(2.0 * model.k)
-    return 0.0
+        return model.gamma * z[:, 0] / math.sqrt(2.0 * model.k)
+    return np.zeros(len(z))
 
 
 def terminal_increment_law(model, t):

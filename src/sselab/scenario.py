@@ -82,6 +82,9 @@ _KIND_KEYS = {
 MAX_PATH_STEPS = 10**9        # n_paths x n_steps
 MAX_RECORDED = 10**7          # n_paths x recorded times: 8 bytes each
 MAX_CLOSURE_STEPS = 10**6     # RK4 steps of each closure scan
+# A recorded time is out of the mean gate's band only if the MC mean also
+# misses the analytic one by more than this round-off floor.
+ROUNDOFF_FLOOR = 1e-12
 
 
 class ConfigError(ValueError):
@@ -516,8 +519,10 @@ def _write_artifacts(result, diagnostics):
             "max_norm_drift": result.sim.max_norm_drift,
             "max_range_violation": result.sim.max_range_violation,
             # "diagonal" when the SDE stepped only shift 0 (H and S
-            # commute), "dense" when it stepped more (sde.SimulationResult)
+            # commute), "dense" when it stepped more, and the amplitudes it
+            # stepped per path (sde.SimulationResult)
             "sde_kernel": result.sim.kernel,
+            "sde_amplitudes": result.sim.amplitudes,
             **diagnostics,
         },
         "check": {
@@ -545,7 +550,7 @@ def check_run(result):
     failures = []
     scn = result.scenario
     s = result.sim.summary
-    ok = np.isfinite(result.analytic_mean) & np.isfinite(s.stderr_f) & (s.stderr_f > 0)
+    ok = np.isfinite(result.analytic_mean) & np.isfinite(s.stderr_f)
     if scn.name == "noncommuting":
         window = ok & (s.times <= 5.0 / scn.alpha)
         gap = np.abs(s.mean_f[window] - result.analytic_mean[window])
@@ -555,8 +560,10 @@ def check_run(result):
                 "(> 0.02) within the trusted window"
             )
     elif ok.any():
-        dev = np.abs(s.mean_f[ok] - result.analytic_mean[ok]) / s.stderr_f[ok]
-        frac = float((dev > 3.0).mean())
+        # out of band: beyond 3 stderr and beyond round-off, as paths that
+        # all share one F still leave a round-off stderr in the sums
+        gap = np.abs(s.mean_f[ok] - result.analytic_mean[ok])
+        frac = float(((gap > 3.0 * s.stderr_f[ok]) & (gap > ROUNDOFF_FLOOR)).mean())
         if frac > 0.01:
             failures.append(
                 f"{frac:.1%} of recorded times sit more than 3 stderr from "

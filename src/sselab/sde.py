@@ -27,6 +27,15 @@ left: a step is one elementwise complex multiply.  H = X, S = Z steps
 the shifts {0, 1}.  tests/test_sde.py keeps the reference: one plain
 step of psi in the computational basis.
 
+A diagonal run then steps one amplitude per occupied class
+(`_occupied_classes`).  Components with equal step factors under every
+monomial move as one, and components that phi0 does not reach stay 0,
+so the state stays in the span of u_c = P_c phi0 / |P_c phi0| over the
+classes c that phi0 reaches, and C = Q'psi over Q = [u_c] is exact.
+|00> under the collective S = X (x) I + I (x) X steps 3 amplitudes, not
+4.  A dense run, and a diagonal run in which nothing merges or drops,
+keeps Q = V.  Below, V stands for Q.
+
 The step loop keeps only this linear update.  X obeys x' = ax x + an N
 and never reads psi, so the run goes in chunks of CHUNK_VALUES
 path-steps: each chunk first computes its X path, its monomial weights
@@ -58,11 +67,14 @@ order (an accumulate along the path axis, which is sequential for every
 shape), and the squared deviations from the mean are products.
 
 Reproducibility: path i draws from its own Philox(master_seed, i)
-stream, in a fixed order (initial noise value first, then one normal
-per step), so the output depends only on the config and the seed.  One
-generator serves every path: the first block of normals sets each
-path's fresh stream from one reused state dict, its key edited in
-place, and later blocks swap in the state each path left.
+stream, in a fixed order (the normal of a stationary initial noise
+value first, then one normal per step), so the output depends only on
+the config and the seed.  One generator serves every path: the first
+block of normals sets each path's fresh stream from one reused state
+dict of Python ints, its key edited in place, and draws the path's
+leading normal and its block in one fill, into a leading column that
+`noise.initial_x` maps to X0 for all paths at once; later blocks swap
+in the state each path left.
 """
 
 import math
@@ -89,12 +101,13 @@ TIME_BLOCK = 2048
 BLOCK_NORMALS = 2**20
 # Path-steps per chunk of the step loop (see above).  Its buffers, in
 # bytes per path-step: the weights 8 per monomial (48 for Platen, 24 for
-# Euler-Maruyama), the unnormalized states 16 d, the step factors 16 d per
-# shift, and 33 for the noise increments, the squared norms, the norms,
-# a scratch row and a finiteness mask; a few vectors over the paths come
-# on top.  That is 1.2 MB at d = 2 and 1.7 MB at d = 4 with the one shift
-# of a commuting Platen run, 1.45 MB at d = 2 with two (decimal MB).  The
-# output does not depend on it.
+# Euler-Maruyama), the unnormalized states 16 per amplitude stepped (d at
+# most), the step factors 16 per amplitude per shift, and 33 for the noise
+# increments, the squared norms, the norms, a scratch row and a finiteness
+# mask; a few vectors over the paths come on top.  That is 1.2 MB at 2
+# amplitudes and 1.7 MB at 4 with the one shift of a commuting Platen run,
+# 1.45 MB at d = 2 with two shifts (decimal MB).  The output does not
+# depend on it.
 CHUNK_VALUES = 2**13
 # A renormalizing run rescales psi only at step numbers divisible by this.
 # A live path's norm changes by at most ABORT_NORM per step, so between
@@ -166,6 +179,7 @@ class SimulationResult:
     max_norm_drift: float
     max_range_violation: float
     kernel: str                   # "diagonal" if only shift 0 was stepped, else "dense"
+    amplitudes: int               # amplitudes stepped per path: d, or fewer when diagonal
 
 
 def _check_ops(H, S, d):
@@ -244,6 +258,37 @@ def _eigenbasis(M, H, S):
     return V, shifts, np.ascontiguousarray(lam[shifts]).view(float)
 
 
+def _occupied_classes(V, lam, phi0):
+    """A diagonal step reduced to one amplitude per occupied class: (Q, lam).
+
+    A class is a set of components whose columns of lam[0] agree over all
+    monomials, to 1e-14 of each monomial's largest entry: every step
+    multiplies them by one factor, so they move as one.  Components with
+    V'phi0 exactly 0 stay 0 and are dropped.  Class c then keeps the
+    single direction u_c = P_c phi0 / |P_c phi0| (P_c projects onto its
+    columns of V; a class of one keeps its column), and the run steps the
+    coordinates Q'psi over Q = [u_c] with lam's columns of one member of
+    each class.  When nothing merges or drops, V and lam come back as
+    they are.
+    """
+    c0 = V.conj().T @ phi0
+    L = lam[0].view(complex)
+    tol = 1e-14 * np.abs(L).max(axis=1)
+    classes = []
+    for i in np.flatnonzero(c0):
+        for m in classes:
+            if np.all(np.abs(L[:, i] - L[:, m[0]]) <= tol):
+                m.append(i)
+                break
+        else:
+            classes.append([i])
+    if len(classes) == len(c0):
+        return V, lam
+    Q = np.stack([V[:, m[0]] if len(m) == 1 else V[:, m] @ (c0[m] / np.linalg.norm(c0[m]))
+                  for m in classes], axis=1)
+    return Q, np.ascontiguousarray(lam.view(complex)[..., [m[0] for m in classes]]).view(float)
+
+
 def _overlap_rows(phis):
     """Rows giving <phi|psi> for states psi in real layout: (..., 2, 2d).
 
@@ -306,32 +351,38 @@ def simulate_paths(H, S, model, phi0, config):
     M, (ax, an) = _step_map(H, S, model, config.scheme, config.dt)
     terms = len(M)
     V, shifts, lam = _eigenbasis(M, H, S)
-    rolls = [(np.arange(d) + o) % d for o in shifts[1:]]
+    if len(shifts) == 1:
+        V, lam = _occupied_classes(V, lam, phi0)
+    # the amplitudes stepped per path: the columns of V
+    amps = V.shape[1]
+    rolls = [(np.arange(amps) + o) % amps for o in shifts[1:]]
 
     n_paths = config.n_paths
     fids = np.empty((n_paths, n_rec))
-    states = np.empty((n_paths, n_rec, 2 * d)) if config.keep_states else None
+    states = np.empty((n_paths, n_rec, 2 * amps)) if config.keep_states else None
     xs = np.empty((n_paths, n_rec)) if config.keep_states else None
     abort_step = np.full(n_paths, -1, dtype=np.int64)
     drift = 0.0
 
-    # Path i draws from Philox(key=[seed, i]): its initial noise value, then
-    # one normal per step, a block of steps at a time.  One generator serves
-    # all paths.  For the first block one state dict is reused, its key
-    # edited in place per path (the setter copies it); a path with more to
-    # draw keeps its stream state for the next block, which swaps it back
-    # in.  That is far cheaper than building a Philox per path.
+    # Path i draws from Philox(key=[seed, i]): the normals of its initial
+    # noise value, then one normal per step, a block of steps at a time.  One
+    # generator serves all paths.  For the first block one state dict of
+    # Python ints is reused, its key edited in place per path (the setter
+    # copies it), and one fill draws the path's leading normals and its
+    # block; a path with more to draw keeps its stream state for the next
+    # block, which swaps it back in.  That is far cheaper than building a
+    # Philox per path.
     seed = config.master_seed & (2**64 - 1)
     bitgen = np.random.Philox()
     gen = np.random.Generator(bitgen)
-    zero = np.zeros(4, dtype=np.uint64)
-    key = np.array([seed, 0], dtype=np.uint64)
-    fresh = {"bit_generator": "Philox", "buffer": zero, "buffer_pos": 4, "has_uint32": 0,
-             "uinteger": 0, "state": {"counter": zero, "key": key}}
+    key = [seed, 0]
+    fresh = {"bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0,
+             "uinteger": 0, "state": {"counter": [0] * 4, "key": key}}
     streams = [None] * n_paths
-    x0s = np.zeros(n_paths)
     block = min(TIME_BLOCK, max(1, BLOCK_NORMALS // n_paths))
-    normals = np.empty((n_paths, min(block, n_steps)))
+    lead = noise_mod.initial_draws(model)
+    normals = np.empty((n_paths, lead + min(block, n_steps)))
+    body = normals[:, lead:]
 
     def draw_block(start):
         tb = min(block, n_steps - start)
@@ -339,15 +390,16 @@ def simulate_paths(H, S, model, phi0, config):
             if start == 0:
                 key[1] = i
                 bitgen.state = fresh
-                x0s[i] = noise_mod.draw_initial(model, gen)
+                gen.standard_normal(out=normals[i, :lead + tb])
             else:
                 bitgen.state = streams[i]
-            gen.standard_normal(out=normals[i, :tb])
+                gen.standard_normal(out=body[i, :tb])
             if start + tb < n_steps:
                 streams[i] = bitgen.state
         return tb
 
     tb = draw_block(0)
+    x0s = noise_mod.initial_x(model, normals[:, :lead])
     alive = np.ones(n_paths, dtype=bool)
     renorm = config.renormalize
     chunk = max(1, min(CHUNK_VALUES // n_paths, block, n_steps))
@@ -368,14 +420,14 @@ def simulate_paths(H, S, model, phi0, config):
     Xs, anNs = list(X), list(anN)
     # The factors of shift 0 and of the other shifts, each shift's in a
     # contiguous slab, so that a step reads them in one piece
-    G0 = np.empty((chunk, n_paths, 2 * d))
-    G1 = np.empty((chunk, len(rolls), n_paths, 2 * d))
+    G0 = np.empty((chunk, n_paths, 2 * amps))
+    G1 = np.empty((chunk, len(rolls), n_paths, 2 * amps))
     Gs, Gxs = list(G0.view(complex)), list(G1.view(complex))
-    rolled = np.empty((n_paths, d), dtype=complex)
+    rolled = np.empty((n_paths, amps), dtype=complex)
     # C[s] is the unnormalized state after the chunk's s-th step, as the
-    # (paths, d) coordinates V'psi; row 0 carries the state over from the
-    # previous chunk.  Psi views C in real layout, (2d, paths) per step.
-    C = np.empty((chunk + 1, n_paths, d), dtype=complex)
+    # (paths, amps) coordinates V'psi; row 0 carries the state over from the
+    # previous chunk.  Psi views C in real layout, (2 amps, paths) per step.
+    C = np.empty((chunk + 1, n_paths, amps), dtype=complex)
     C[0] = V.conj().T @ phi0
     Cs = list(C)
     Psi = np.swapaxes(C.view(float), 1, 2)
@@ -416,7 +468,7 @@ def simulate_paths(H, S, model, phi0, config):
                 # the noise path and the weights never read psi
                 nc = min(chunk, tb - c0)
                 N = W[2, :nc]
-                np.copyto(N, normals[:, c0:c0 + nc].T)
+                np.copyto(N, body[:, c0:c0 + nc].T)
                 mul(N, an, anN[:nc])
                 for prev, nxt, kick in zip(Xs, Xs[1:nc + 1], anNs):
                     mul(prev, axv, nxt)
@@ -541,4 +593,5 @@ def simulate_paths(H, S, model, phi0, config):
         max_norm_drift=drift,
         max_range_violation=violation,
         kernel="diagonal" if len(shifts) == 1 else "dense",
+        amplitudes=amps,
     )

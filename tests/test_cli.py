@@ -63,7 +63,7 @@ def test_run_config_file(tmp_path, capsys):
     diag = doc["diagnostics"]
     assert diag["n_paths"] == diag["n_effective"] == 40 and diag["aborted"] == []
     assert 0 <= diag["max_norm_drift"] < 1e-3 and 0 <= diag["max_range_violation"] < 1e-6
-    assert diag["sde_kernel"] == "diagonal"
+    assert diag["sde_kernel"] == "diagonal" and diag["sde_amplitudes"] == 2
     assert not {"epsilon_sq", "magnus_out_of_range", "closure_imag_residue"} & set(diag)
 
 
@@ -101,7 +101,7 @@ def test_run_json_records_approximation_diagnostics(tmp_path):
     assert diag["epsilon_sq"] == pytest.approx(0.04)
     assert diag["magnus_out_of_range"] == np.count_nonzero(rows[:, 1] > 1) == 5
     assert diag["magnus_assumed_start"] == "stationary"
-    assert diag["sde_kernel"] == "dense"
+    assert diag["sde_kernel"] == "dense" and diag["sde_amplitudes"] == 2
 
     white = noncommuting.replace("kind = ou", "kind = white").replace("\nk = 1000", "")
     assert cli.main(["run", write_config(tmp_path, text=white, out=tmp_path / "wn")]) == 0
@@ -114,6 +114,19 @@ def test_run_json_records_approximation_diagnostics(tmp_path):
     residue = diag["closure_imag_residue"]
     assert set(residue) == {"first_order", "second_order"}
     assert all(0 <= r < 1e-9 for r in residue.values()), residue
+
+
+def test_run_json_records_the_amplitudes_stepped(tmp_path):
+    # fig7a's config, shortened: |00> under the collective S = X (x) I +
+    # I (x) X has no weight on one eigenvector of S's double eigenvalue 0,
+    # so its diagonal run steps 3 amplitudes per path, not 4
+    text = TINY_INI.replace("kind = pauli\nstate = 0\nnoise_op = X",
+                            "kind = twoqubit\nstate = 00\nbase_op = X").replace(
+        "kind = white\ngamma = 0.2", "kind = ou\ngamma = 0.2\nk = 0.3\ninit = stationary")
+    out = tmp_path / "fig7a"
+    assert cli.main(["run", write_config(tmp_path, text=text, out=out)]) == 0
+    diag = json.loads((out / "run.json").read_text())["diagnostics"]
+    assert diag["sde_kernel"] == "diagonal" and diag["sde_amplitudes"] == 3
 
 
 def test_overrides_reach_run_json(tmp_path):

@@ -175,12 +175,17 @@ def test_conditional_moment_guards():
 
 
 def test_draw_initial():
-    stream = np.random.default_rng(7)
-    assert noise.draw_initial(noise.ou_noise(0.2, 0.1), stream) == 0.0
-    assert noise.draw_initial(noise.white_noise(0.2), stream) == 0.0
+    # a calibrated start takes no normal from the stream and gives X0 = 0
+    for model in (noise.ou_noise(0.2, 0.1), noise.white_noise(0.2)):
+        assert noise.initial_draws(model) == 0
+        assert np.array_equal(noise.initial_x(model, np.empty((3, 0))), np.zeros(3))
     model = noise.ou_noise(0.2, 0.1, init=noise.STATIONARY)
-    draws = np.array([noise.draw_initial(model, stream) for _ in range(20000)])
+    assert noise.initial_draws(model) == 1
+    z = np.random.default_rng(7).standard_normal((20000, 1))
+    draws = noise.initial_x(model, z)
     sd = 0.2 / math.sqrt(2 * 0.1)
+    # each value is gamma z / sqrt(2k), in that order of operations
+    assert all(x == 0.2 * v / math.sqrt(2 * 0.1) for x, v in zip(draws[:50], z[:50, 0]))
     assert abs(draws.mean()) < 5 * sd / math.sqrt(len(draws))
     assert abs(draws.std() - sd) / sd < 0.02
     # a stationary start with k = 0 has no stationary law: refused when built

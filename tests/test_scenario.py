@@ -196,3 +196,48 @@ def test_csv_writes_each_value_as_its_repr(tmp_path):
     assert got.splitlines()[2] == "nan,-0.0,-inf"
     assert got.splitlines()[3] == "1.0,5e-324,5e-324"
     assert got.splitlines()[1] == "0.0,inf,0.30000000000000004"
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_check_run_passes_a_ghz_run_despite_a_roundoff_stderr(tmp_path, seed):
+    # All 50 paths share F(0) = 1 - 2e-16, and the path-order sum leaves a
+    # stderr of about 1.6e-17 at t = 0: a gap of 1.1e-16 reads z = -7
+    # there, yet it is round-off.
+    cfg = minimal_cfg(
+        noise={"kind": "ou", "gamma": "0.2", "k": "0.3", "init": "stationary"},
+        sim={"dt": "0.001", "t": "0.1", "n_paths": "50", "master_seed": str(seed)},
+        output={"dir": str(tmp_path / "out")})
+    cfg["scenario"] = {"kind": "twoqubit", "state": "ghz", "base_op": "X"}
+    result = scenario.run_scenario(scenario.resolve(cfg, label="ghz"))
+    assert result.check_failures == ()
+
+
+@pytest.mark.parametrize("n_paths", [20, 50, 500])
+def test_check_run_passes_a_pauli_eigenstate(tmp_path, n_paths):
+    # |+> under S = X keeps F = 1 on every path; the MC mean sits within
+    # round-off of the law at every time, and its stderr is round-off too
+    for seed in (1, 2):
+        scn = scenario.resolve(minimal_cfg(
+            scenario={"state": "+"},
+            sim={"n_paths": str(n_paths), "master_seed": str(seed), "record_every": "5"},
+            output={"dir": str(tmp_path / "out")}))
+        result = scenario.run_scenario(scn)
+        assert np.all(np.abs(result.sim.summary.mean_f - 1.0) < 1e-12)
+        assert result.check_failures == ()
+
+
+def test_check_run_fails_an_mc_without_noise(tmp_path, monkeypatch):
+    # The MC runs at gamma = 0, so F = 1 on every path, with a stderr of
+    # exactly 0, against a law that falls below 1: the round-off floor must
+    # not let that through.
+    real = scenario.sde_mod.simulate_paths
+    monkeypatch.setattr(scenario.sde_mod, "simulate_paths",
+                        lambda H, S, model, phi0, cfg: real(
+                            H, S, noise.white_noise(0.0), phi0, cfg))
+    scn = scenario.resolve(minimal_cfg(output={"dir": str(tmp_path / "out")}))
+    result = scenario.run_scenario(scn)
+    s = result.sim.summary
+    assert np.all(s.mean_f == 1.0) and np.all(s.stderr_f == 0.0)
+    assert result.analytic_mean[-1] < 0.99
+    assert len(result.check_failures) == 1
+    assert "3 stderr from the analytic mean" in result.check_failures[0]

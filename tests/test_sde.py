@@ -25,6 +25,11 @@ def _weights(x, N, terms):
     return [1.0, x, N, x * x, x * N, N * N][:terms]
 
 
+def _initial_x(model, stream):
+    """X0 of one path, drawn from the head of its own stream."""
+    return float(noise.initial_x(model, stream.standard_normal((1, noise.initial_draws(model))))[0])
+
+
 def step(Y, H, S, model, config, stream, normal=None):
     """One scheme step of the joint SDE; a single shared normal draw.
 
@@ -185,7 +190,7 @@ def test_simulate_paths_matches_step_loop(scheme):
             for i in range(3):
                 stream = np.random.Generator(
                     np.random.Philox(key=np.array([12, i], dtype=np.uint64)))
-                Y = JointState(psi=phi0, x=noise.draw_initial(model, stream))
+                Y = JointState(psi=phi0, x=_initial_x(model, stream))
                 for j in range(cfg.n_steps + 1):
                     assert np.max(np.abs(res.states[i, j] - Y.psi)) < 1e-13
                     assert abs(res.xs[i, j] - Y.x) < 1e-13
@@ -195,23 +200,44 @@ def test_simulate_paths_matches_step_loop(scheme):
 
 
 _XX = np.kron(qstate.SIGMA_X, qstate.SIGMA_X)
-# Each pair commutes.  Z (x) I has two double eigenvalues, and eigh returns
-# the standard basis, in which I (x) X is not diagonal: only the basis that
-# also diagonalizes H inside S's eigenspaces makes the step matrices
-# diagonal there.
+_KET00 = np.array([1.0, 0, 0, 0])
+
+
+def _collective(Q):
+    return np.kron(Q, _I2) + np.kron(_I2, Q)
+
+
+# Each pair commutes, with the amplitudes the run steps per path.  Z (x) I
+# has two double eigenvalues, and eigh returns the standard basis, in which
+# I (x) X is not diagonal: only the basis that also diagonalizes H inside
+# S's eigenspaces makes the step matrices diagonal there.  A collective S
+# has the double eigenvalue 0: under X, eigh puts all of |00>'s weight
+# there on one eigenvector and the other is dropped; under Y both carry
+# some, and the two merge.  Eigenvalues of S split by 1e-8, or of H by
+# 1e-9 inside a block of S, give distinct step factors and must not merge.
 COMMUTING = {
-    "pauli": (0.8 * qstate.SIGMA_X, qstate.SIGMA_X, KET0),
-    "projection": (ZERO_H, qstate.PROJ_1, np.array([0.6, 0.8j])),
-    "collective": (_XX, np.kron(qstate.SIGMA_X, _I2) + np.kron(_I2, qstate.SIGMA_X),
-                   np.array([1.0, 0, 0, 0])),
+    "pauli": (0.8 * qstate.SIGMA_X, qstate.SIGMA_X, KET0, 2),
+    "projection": (ZERO_H, qstate.PROJ_1, np.array([0.6, 0.8j]), 2),
+    "collective": (_XX, _collective(qstate.SIGMA_X), _KET00, 3),
     "degenerate": (np.kron(_I2, qstate.SIGMA_X) + 0.5 * np.kron(qstate.SIGMA_Z, qstate.SIGMA_X),
-                   np.kron(qstate.SIGMA_Z, _I2), np.array([0.5, 0.1j, -0.7, 0.5j])),
+                   np.kron(qstate.SIGMA_Z, _I2), np.array([0.5, 0.1j, -0.7, 0.5j]), 4),
+    "collective_x": (np.zeros((4, 4)), _collective(qstate.SIGMA_X), _KET00, 3),
+    "collective_y": (np.zeros((4, 4)), _collective(qstate.SIGMA_Y), _KET00, 3),
+    "z_on_0": (ZERO_H, qstate.SIGMA_Z, KET0, 1),
+    "s_split": (np.zeros((4, 4)), np.kron(qstate.SIGMA_X, _I2) + 0.5e-8 * np.kron(
+        _I2, qstate.SIGMA_X), _KET00, 4),
+    "h_split": (0.5e-9 * np.kron(_I2, qstate.SIGMA_X), np.kron(qstate.SIGMA_Z, _I2),
+                np.array([1.0, 0, 1.0, 0]) / math.sqrt(2.0), 4),
 }
 
 
-@pytest.mark.parametrize("scheme, renormalize", [
-    (sde.PLATEN_WEAK2, True), (sde.EULER_MARUYAMA, True), (sde.PLATEN_WEAK2, False)])
-@pytest.mark.parametrize("case", sorted(COMMUTING))
+# A one-amplitude case runs renormalized only: unnormalized, its F is the
+# squared norm, which drifts out of [0, 1] (by 1.7e-5 for S = Z on |0>).
+@pytest.mark.parametrize("case, scheme, renormalize", [
+    (case, scheme, renormalize) for case in sorted(COMMUTING)
+    for scheme, renormalize in ((sde.PLATEN_WEAK2, True), (sde.EULER_MARUYAMA, True),
+                                (sde.PLATEN_WEAK2, False))
+    if renormalize or COMMUTING[case][3] > 1])
 def test_diagonal_kernel_matches_step_loop(case, scheme, renormalize):
     """A commuting run steps in the joint eigenbasis; step() is the oracle.
 
@@ -220,7 +246,7 @@ def test_diagonal_kernel_matches_step_loop(case, scheme, renormalize):
     leave [0, 1], so that run records only its last step.  Unnormalized
     Euler drifts by up to 10% here, past 1 even there.
     """
-    H, S, phi0 = COMMUTING[case]
+    H, S, phi0, amplitudes = COMMUTING[case]
     phi0 = qstate.as_state(phi0)
     model = noise.ou_noise(0.3, 0.7, init=noise.STATIONARY)
     cfg = sde.SimConfig(dt=0.01, T=1.5, n_paths=3, master_seed=12, scheme=scheme,
@@ -228,12 +254,13 @@ def test_diagonal_kernel_matches_step_loop(case, scheme, renormalize):
                         keep_states=True)
     res = sde.simulate_paths(H, S, model, phi0, cfg)
     assert res.kernel == "diagonal"
+    assert res.amplitudes == amplitudes
     assert res.aborted == ()
     targets = sde.target_evolution(H, phi0, res.times)
     for i in range(3):
         stream = np.random.Generator(
             np.random.Philox(key=np.array([12, i], dtype=np.uint64)))
-        Y = JointState(psi=phi0, x=noise.draw_initial(model, stream))
+        Y = JointState(psi=phi0, x=_initial_x(model, stream))
         for n in range(cfg.n_steps + 1):
             if n % cfg.record_every == 0:
                 j = n // cfg.record_every
@@ -254,7 +281,8 @@ def test_noncommuting_run_takes_the_dense_kernel():
     cfg = sde.SimConfig(dt=1e-2, T=0.1, n_paths=2, master_seed=1)
     for H, S in ((qstate.SIGMA_X, qstate.SIGMA_Z),
                  (qstate.SIGMA_X + 1e-9 * qstate.SIGMA_Z, qstate.SIGMA_X)):
-        assert sde.simulate_paths(H, S, model, KET0, cfg).kernel == "dense"
+        res = sde.simulate_paths(H, S, model, KET0, cfg)
+        assert res.kernel == "dense" and res.amplitudes == 2
     assert sde.simulate_paths(qstate.SIGMA_X, qstate.SIGMA_X, model, KET0,
                               cfg).kernel == "diagonal"
 
@@ -413,7 +441,7 @@ def test_noise_path_is_its_plain_recurrence(monkeypatch, model, scheme):
     for i in range(cfg.n_paths):
         stream = np.random.Generator(
             np.random.Philox(key=np.array([cfg.master_seed, i], dtype=np.uint64)))
-        x = noise.draw_initial(model, stream)
+        x = _initial_x(model, stream)
         want[i, 0] = x
         for n in range(1, cfg.n_steps + 1):
             x = ax * x + an * float(stream.standard_normal())
@@ -502,7 +530,7 @@ def test_dead_path_overflows_silently():
     for i in range(cfg.n_paths):
         stream = np.random.Generator(
             np.random.Philox(key=np.array([1, i], dtype=np.uint64)))
-        Y = JointState(psi=phi0, x=noise.draw_initial(model, stream))
+        Y = JointState(psi=phi0, x=_initial_x(model, stream))
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 for n in range(1, cfg.n_steps + 1):
@@ -619,7 +647,7 @@ def test_aborted_paths_within_budget():
     for i, abort_at in res.aborted:
         stream = np.random.Generator(
             np.random.Philox(key=np.array([3, i], dtype=np.uint64)))
-        Y = JointState(psi=KET0, x=noise.draw_initial(model, stream))
+        Y = JointState(psi=KET0, x=_initial_x(model, stream))
         with pytest.raises(sde.PathAbortError):
             for n in range(1, cfg.n_steps + 1):
                 Y = step(Y, ZERO_H, qstate.SIGMA_X, model, cfg, stream)
