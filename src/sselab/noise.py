@@ -71,8 +71,11 @@ def initial_draws(model):
 
 
 def initial_x(model, z):
-    """X0 per path by the model's init convention, from z of shape
-    (paths, initial_draws(model)): gamma z / sqrt(2k) stationary, else 0."""
+    """X0 per path by the model's init convention: gamma z / sqrt(2k) or 0.
+
+    z holds each path's initial_draws(model) standard normals, one row per
+    path.
+    """
     if model.init == STATIONARY:
         return model.gamma * z[:, 0] / math.sqrt(2.0 * model.k)
     return np.zeros(len(z))

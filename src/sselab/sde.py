@@ -266,10 +266,10 @@ def _occupied_classes(V, lam, phi0):
     multiplies them by one factor, so they move as one.  Components with
     V'phi0 exactly 0 stay 0 and are dropped.  Class c then keeps the
     single direction u_c = P_c phi0 / |P_c phi0| (P_c projects onto its
-    columns of V; a class of one keeps its column), and the run steps the
-    coordinates Q'psi over Q = [u_c] with lam's columns of one member of
-    each class.  When nothing merges or drops, V and lam come back as
-    they are.
+    columns of V), and the run steps the coordinates Q'psi over Q = [u_c]
+    with lam's columns of one member of each class.  A class of one keeps
+    its column of V, so the components a run keeps step as before; when
+    nothing merges or drops, V and lam come back as they are.
     """
     c0 = V.conj().T @ phi0
     L = lam[0].view(complex)
