@@ -82,9 +82,7 @@ _KIND_KEYS = {
 MAX_PATH_STEPS = 10**9        # n_paths x n_steps
 MAX_RECORDED = 10**7          # n_paths x recorded times: 8 bytes each
 MAX_CLOSURE_STEPS = 10**6     # RK4 steps of each closure scan
-# A recorded time is out of the mean gate's band only if the MC mean also
-# misses the analytic one by more than this round-off floor.
-ROUNDOFF_FLOOR = 1e-12
+ROUNDOFF_FLOOR = 1e-12        # gaps below this never fail check_run's mean gate
 
 
 class ConfigError(ValueError):

@@ -27,14 +27,10 @@ left: a step is one elementwise complex multiply.  H = X, S = Z steps
 the shifts {0, 1}.  tests/test_sde.py keeps the reference: one plain
 step of psi in the computational basis.
 
-A diagonal run then steps one amplitude per occupied class
-(`_occupied_classes`).  Components with equal step factors under every
-monomial move as one, and components that phi0 does not reach stay 0,
-so the state stays in the span of u_c = P_c phi0 / |P_c phi0| over the
-classes c that phi0 reaches, and C = Q'psi over Q = [u_c] is exact.
-|00> under the collective S = X (x) I + I (x) X steps 3 amplitudes, not
-4.  A dense run, and a diagonal run in which nothing merges or drops,
-keeps Q = V.  Below, V stands for Q.
+A diagonal run then steps one amplitude per occupied class of
+components with equal step factors (`_occupied_classes`), exactly: 3
+for |00> under the collective S = X (x) I + I (x) X, not 4.  Below, V
+stands for that reduced basis.
 
 The step loop keeps only this linear update.  X obeys x' = ax x + an N
 and never reads psi, so the run goes in chunks of CHUNK_VALUES
