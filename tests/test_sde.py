@@ -239,7 +239,8 @@ COMMUTING = {
                                 (sde.PLATEN_WEAK2, False))
     if renormalize or COMMUTING[case][3] > 1])
 def test_diagonal_kernel_matches_step_loop(case, scheme, renormalize):
-    """A commuting run steps in the joint eigenbasis; step() is the oracle.
+    """A commuting run steps one amplitude per occupied class of the joint
+    eigenbasis; step() is the oracle.
 
     The 150 steps pass the rescale points 64 and 128 of a renormalizing run.
     Without renormalization the norm drifts, and an early fidelity would
