@@ -92,7 +92,7 @@ def spectral_law(S, phi0):
 
 @dataclass(frozen=True)
 class ScenarioLaw:
-    """A scenario's fidelity law and its coupling parameter s0."""
+    """A scenario's fidelity law and s0 = <S>, the closures' parameter."""
 
     series: CosineSeries
     s0: float

@@ -1,18 +1,18 @@
 """Scenario resolution and the figure-style run pipeline.
 
 A scenario bundles a noise model, operators, an initial state, and a
-simulation config, and names one of six kinds:
+simulation config.  The operators select the law: when [H, S] = 0
+(`Scenario.commuting`) a run takes its exact law from one place,
+`laws.spectral_law` of S and the state, a cosine series whose
+frequencies are the eigenvalue gaps of S; otherwise it takes the
+Magnus mean, with no closed variance.  The kind selects the outputs
+only, and names one of six:
 
-  pauli, projection, twoqubit  commuting cases with exact series laws
-  noncommuting                 Magnus mean fidelity, no closed variance
-  approx-order                 pauli case plus the closure-ODE curves
-  distribution                 commuting case that also dumps terminal
-                               fidelity samples at chosen time slices
-
-Every commuting kind takes its law from one place, `laws.spectral_law`
-of the noise operator S and the state: a cosine series whose
-frequencies are the eigenvalue gaps of S.  The kinds differ only in
-which S they accept and in what they compute from the law.
+  pauli, projection, noncommuting  the summary alone
+  twoqubit      the summary, with S the collective Q (x) I + I (x) Q
+  approx-order  plus the closure-ODE curves (S^2 = I, [H, S] = 0)
+  distribution  plus terminal fidelity samples at chosen time slices
+                ([H, S] = 0)
 
 Configs are flat string sections (the CLI reads them from INI files);
 presets are the same shape, one per reference figure.  Running a
@@ -112,6 +112,10 @@ class Scenario:
     def noise_operator(self):
         """S; for twoqubit runs the collective Q (x) I + I (x) Q of base_op Q."""
         return self.ops[1]
+
+    def commuting(self):
+        """Whether max|[H, S]| <= 1e-12: the exact law holds, else the Magnus mean."""
+        return np.abs(qstate.commutator(*self.ops)).max() <= 1e-12
 
 
 def _build_ops(kind, noise_spec, h_spec, alpha, d):
@@ -235,17 +239,6 @@ def resolve(cfg, label="custom"):
     return replace(scn, resolve_s=time.perf_counter() - start)
 
 
-def _op_class(op):
-    """'pauli' if op^2 = I, 'projection' if op^2 = op, else None."""
-    sq = op @ op
-    eye = np.eye(op.shape[0])
-    if np.allclose(sq, eye, atol=1e-12):
-        return "pauli"
-    if np.allclose(sq, op, atol=1e-12):
-        return "projection"
-    return None
-
-
 def _validate(scn):
     # approx-order runs scan the closures to scan_t, or to t when scan_t is 0
     scan = scn.scan_T or (scn.sim.T if scn.name == "approx-order" else 0.0)
@@ -257,31 +250,20 @@ def _validate(scn):
         )
     if not math.isfinite(scn.alpha):
         raise ConfigError(f"alpha must be finite, got {scn.alpha!r}")
-    if scn.name == "noncommuting":
-        if scn.h_spec not in ("X", "Y", "Z") or scn.noise_spec not in ("X", "Y", "Z"):
-            raise ConfigError("noncommuting scenarios need single Pauli axes")
-        if scn.h_spec == scn.noise_spec:
-            raise ConfigError("drive and noise axes must differ")
-        if scn.state.shape[0] != 2 or not scn.alpha > 0:
-            raise ConfigError("noncommuting scenarios are single-qubit, with alpha > 0")
-        return
     s_op, h = scn.noise_operator(), scn.hamiltonian()
     d = scn.state.shape[0]
     if s_op.shape != (d, d) or h.shape != (d, d) or not np.isfinite(h).all():
         raise ConfigError(f"the operators must be finite and act on the {d}-dim state")
-    if scn.name != "twoqubit":
-        klass = _op_class(s_op)
-        expected = {
-            "pauli": "pauli",
-            "projection": "projection",
-            "approx-order": "pauli",
-        }.get(scn.name, klass)
-        if klass is None or klass != expected:
-            raise ConfigError(
-                f"noise_op {scn.noise_spec!r} does not match kind {scn.name!r}"
-            )
-    if np.abs(qstate.commutator(h, s_op)).max() > 1e-12:
-        raise ConfigError("hamiltonian must commute with the noise operator")
+    if scn.name == "approx-order" and not np.allclose(s_op @ s_op, np.eye(d), atol=1e-12):
+        raise ConfigError(f"approx-order scenarios need S^2 = I, not noise_op {scn.noise_spec!r}")
+    if not scn.commuting():
+        if scn.name in ("approx-order", "distribution"):
+            raise ConfigError(f"{scn.name} scenarios need a hamiltonian that commutes "
+                              "with the noise operator")
+        # eps^2 = gamma^2/alpha and check_run's window 5/alpha divide by alpha
+        if not scn.alpha > 0:
+            raise ConfigError(f"a run whose H and S do not commute needs alpha > 0, "
+                              f"got {scn.alpha!r}")
     if scn.name == "distribution" and not scn.t_slices:
         raise ConfigError("distribution scenarios need t_slices")
     for t in scn.t_slices:
@@ -341,27 +323,23 @@ def _check_step_map(scn):
 
 
 def scenario_law(scn):
-    """The exact fidelity law of a commuting scenario, as a ScenarioLaw.
-
-    s0 is <S>, or sqrt(<S>) for a projection: the amplitude on its
-    S = 1 eigenspace, the parameter `laws.projection_law` takes.
-    """
+    """The exact fidelity law of a commuting scenario, as a ScenarioLaw
+    with s0 = <S> (which only the approx-order closures read)."""
     s_op = scn.noise_operator()
     s0 = qstate.expect_value(s_op, scn.state).real
-    if _op_class(s_op) == "projection":
-        s0 = math.sqrt(max(s0, 0.0))
     return laws_mod.ScenarioLaw(laws_mod.spectral_law(s_op, scn.state), s0)
 
 
 def analytic_series(scn, times):
-    """(mean, variance, diagnostics) at the given times; variance nan when
-    no closed form exists (noncommuting).  There the Magnus mean comes from
-    one call over all the times, and the diagnostics hold eps^2 =
-    gamma^2/alpha (a warning when it is not small) and, under OU noise, how
-    many means left [0, 1] (NaN counts) and the stationary start the mean
-    assumes (a warning when the run starts calibrated)."""
+    """(mean, variance, diagnostics) at the given times, by [H, S]: when H
+    and S commute, the exact law's mean and variance; otherwise the Magnus
+    mean, from one call over all the times, and variance nan, as no closed
+    form exists.  The Magnus diagnostics hold eps^2 = gamma^2/alpha (a
+    warning when it is not small) and, under OU noise, how many means left
+    [0, 1] (NaN counts) and the stationary start the mean assumes (a
+    warning when the run starts calibrated)."""
     times = np.asarray(times, dtype=float)
-    if scn.name == "noncommuting":
+    if not scn.commuting():
         eps_sq = scn.model.gamma**2 / scn.alpha
         if eps_sq >= magnus_mod.EPS_SQ_WARN:
             warnings.warn(f"eps^2 = gamma^2/alpha = {eps_sq:.3g} is not small; "
@@ -544,12 +522,16 @@ def _write_json(path, doc):
 
 
 def check_run(result):
-    """Figure-level sanity thresholds; list of failure strings (empty = ok)."""
+    """Figure-level sanity thresholds; list of failure strings (empty = ok).
+
+    A run whose H and S do not commute is held to its Magnus mean within
+    the trusted window t <= 5/alpha; a commuting one to its exact law's
+    mean, 3 stderr at each recorded time."""
     failures = []
     scn = result.scenario
     s = result.sim.summary
     ok = np.isfinite(result.analytic_mean) & np.isfinite(s.stderr_f)
-    if scn.name == "noncommuting":
+    if not scn.commuting():
         window = ok & (s.times <= 5.0 / scn.alpha)
         gap = np.abs(s.mean_f[window] - result.analytic_mean[window])
         if gap.size and gap.max() > 0.02:

@@ -28,9 +28,9 @@ the shifts {0, 1}.  tests/test_sde.py keeps the reference: one plain
 step of psi in the computational basis.
 
 A diagonal run then steps one amplitude per occupied class of
-components with equal step factors (`_occupied_classes`), exactly: 3
-for |00> under the collective S = X (x) I + I (x) X, not 4.  Below, V
-stands for that reduced basis.
+components with equal step factors (`_occupied_classes`): under the
+collective S = X (x) I + I (x) X, 3 for |00> and 2 for GHZ, not 4.
+Below, V stands for that reduced basis.
 
 The step loop keeps only this linear update.  X obeys x' = ax x + an N
 and never reads psi, so the run goes in chunks of CHUNK_VALUES
@@ -260,7 +260,9 @@ def _occupied_classes(V, lam, phi0):
     A class is a set of components whose columns of lam[0] agree over all
     monomials, to 1e-14 of each monomial's largest entry: every step
     multiplies them by one factor, so they move as one.  Components with
-    V'phi0 exactly 0 stay 0 and are dropped.  Class c then keeps the
+    |V'phi0| <= 1e-14 (phi0 has unit norm) are unreached and dropped: a
+    degenerate eigh basis leaves round-off weight where the state has
+    none, as on GHZ under the collective X.  Class c then keeps the
     single direction u_c = P_c phi0 / |P_c phi0| (P_c projects onto its
     columns of V), and the run steps the coordinates Q'psi over Q = [u_c]
     with lam's columns of one member of each class.  A class of one keeps
@@ -271,7 +273,7 @@ def _occupied_classes(V, lam, phi0):
     L = lam[0].view(complex)
     tol = 1e-14 * np.abs(L).max(axis=1)
     classes = []
-    for i in np.flatnonzero(c0):
+    for i in np.flatnonzero(np.abs(c0) > 1e-14):
         for m in classes:
             if np.all(np.abs(L[:, i] - L[:, m[0]]) <= tol):
                 m.append(i)

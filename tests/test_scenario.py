@@ -54,38 +54,55 @@ def test_resolve_rejects_unknown_keys():
 
 
 def test_operator_class_enforcement():
-    # projection scenarios need an idempotent noise operator
-    with pytest.raises(scenario.ConfigError):
-        scenario.resolve(minimal_cfg(scenario={"kind": "projection"}))
-    cfg = minimal_cfg(scenario={"kind": "projection", "noise_op": "P1",
-                                "state": "+"})
-    scn = scenario.resolve(cfg)
-    assert scn.name == "projection"
-    # and the closure scans need an involution
-    with pytest.raises(scenario.ConfigError):
+    # a projection noise_op under any output kind takes its spectral law
+    scn = scenario.resolve(minimal_cfg(scenario={"kind": "projection", "noise_op": "P1",
+                                                 "state": "+"}))
+    assert scn.name == "projection" and scn.commuting()
+    _, var, diagnostics = scenario.analytic_series(scn, [0.5])
+    assert np.isfinite(var).all() and diagnostics == {}
+    # but the closure scans need an involution
+    with pytest.raises(scenario.ConfigError, match="S\\^2 = I"):
         scenario.resolve(minimal_cfg(scenario={"kind": "approx-order",
                                                "noise_op": "P1", "state": "+"}))
 
 
 def test_commutation_enforcement():
-    cfg = minimal_cfg(scenario={"hamiltonian": "Z"})
-    with pytest.raises(scenario.ConfigError):
-        scenario.resolve(cfg)  # [Z, X] != 0 in a commuting scenario
-    ok = minimal_cfg(scenario={"hamiltonian": "X"})
-    scn = scenario.resolve(ok)
-    assert np.allclose(scn.hamiltonian(), qstate.SIGMA_X)
+    # [Z, X] != 0: a pauli run takes the Magnus mean, with no closed variance
+    scn = scenario.resolve(minimal_cfg(scenario={"hamiltonian": "Z"}))
+    assert scn.name == "pauli" and not scn.commuting()
+    mean, var, diagnostics = scenario.analytic_series(scn, [0.0, 0.5])
+    want = magnus.wn_mean_fidelity(qstate.SIGMA_Z, qstate.SIGMA_X, scn.model,
+                                   scn.state, np.array([0.0, 0.5]))
+    assert np.array_equal(mean, want)
+    assert np.isnan(var).all() and "epsilon_sq" in diagnostics
+    ok = scenario.resolve(minimal_cfg(scenario={"hamiltonian": "X"}))
+    assert np.allclose(ok.hamiltonian(), qstate.SIGMA_X) and ok.commuting()
+    # the kinds whose outputs need the exact law still reject [H, S] != 0
+    for kind, extra in (("approx-order", {}), ("distribution", {"t_slices": "0.1"})):
+        with pytest.raises(scenario.ConfigError, match="commutes"):
+            scenario.resolve(minimal_cfg(scenario={"kind": kind, "hamiltonian": "Z"},
+                                         output=extra))
 
 
 def test_noncommuting_validation():
+    # H = S = X commute, so a noncommuting-kind run gets the spectral law
     cfg = minimal_cfg(scenario={"kind": "noncommuting", "hamiltonian": "X",
                                 "noise_op": "X"})
-    with pytest.raises(scenario.ConfigError):
-        scenario.resolve(cfg)
+    scn = scenario.resolve(cfg)
+    assert scn.commuting()
+    mean, var, diagnostics = scenario.analytic_series(scn, [0.5])
+    law = scenario.scenario_law(scn)
+    assert (mean, var) == laws.series_mean_variance(law.series, scn.model, np.array([0.5]))
+    assert np.isfinite(var).all() and diagnostics == {}
     cfg = minimal_cfg(scenario={"kind": "noncommuting", "hamiltonian": "X",
                                 "noise_op": "Z", "alpha": "2.0"})
     scn = scenario.resolve(cfg)
     assert np.array_equal(scn.hamiltonian(), 2.0 * qstate.SIGMA_X)
     assert np.array_equal(scn.noise_operator(), qstate.SIGMA_Z)
+    # a non-commuting route divides by alpha
+    with pytest.raises(scenario.ConfigError, match="alpha > 0"):
+        scenario.resolve(minimal_cfg(scenario={"kind": "noncommuting", "hamiltonian": "X",
+                                               "noise_op": "Z", "alpha": "-1"}))
     # the Magnus means are weak-noise expansions in eps^2 = gamma^2/alpha
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -213,8 +213,10 @@ def _collective(Q):
 # S's eigenspaces makes the step matrices diagonal there.  A collective S
 # has the double eigenvalue 0: under X, eigh puts all of |00>'s weight
 # there on one eigenvector and the other is dropped; under Y both carry
-# some, and the two merge.  Eigenvalues of S split by 1e-8, or of H by
-# 1e-9 inside a block of S, give distinct step factors and must not merge.
+# some, and the two merge.  GHZ has no weight there, only the round-off
+# eigh leaves, so its run steps the eigenvalues +-2 alone.  Eigenvalues of
+# S split by 1e-8, or of H by 1e-9 inside a block of S, give distinct step
+# factors and must not merge.
 COMMUTING = {
     "pauli": (0.8 * qstate.SIGMA_X, qstate.SIGMA_X, KET0, 2),
     "projection": (ZERO_H, qstate.PROJ_1, np.array([0.6, 0.8j]), 2),
@@ -223,6 +225,8 @@ COMMUTING = {
                    np.kron(qstate.SIGMA_Z, _I2), np.array([0.5, 0.1j, -0.7, 0.5j]), 4),
     "collective_x": (np.zeros((4, 4)), _collective(qstate.SIGMA_X), _KET00, 3),
     "collective_y": (np.zeros((4, 4)), _collective(qstate.SIGMA_Y), _KET00, 3),
+    "collective_ghz": (np.zeros((4, 4)), _collective(qstate.SIGMA_X),
+                       np.array([1.0, 0, 0, 1.0]) / math.sqrt(2.0), 2),
     "z_on_0": (ZERO_H, qstate.SIGMA_Z, KET0, 1),
     "s_split": (np.zeros((4, 4)), np.kron(qstate.SIGMA_X, _I2) + 0.5e-8 * np.kron(
         _I2, qstate.SIGMA_X), _KET00, 4),
