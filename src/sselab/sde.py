@@ -28,9 +28,14 @@ the shifts {0, 1}.  tests/test_sde.py keeps the reference: one plain
 step of psi in the computational basis.
 
 A diagonal run then steps one amplitude per occupied class of
-components with equal step factors (`_occupied_classes`): under the
-collective S = X (x) I + I (x) X, 3 for |00> and 2 for GHZ, not 4.
-Below, V stands for that reduced basis.
+components with equal step factors (`_occupied_classes`).  An inert
+class, where S and H vanish and every factor is 1, is not stepped when
+another class is occupied: the run carries its part c u of psi, the
+same on every path, as the constant c = u'phi0, adding |c|^2 to each
+squared norm, <phi_t|u> c to each overlap and c u to each kept state.
+Under the collective S = X (x) I + I (x) X, |00> steps 2 amplitudes,
+not 4 (as does GHZ, which has no weight on the inert class), and under
+P1 |+> steps 1.  Below, V stands for that reduced basis.
 
 The step loop keeps only this linear update.  X obeys x' = ax x + an N
 and never reads psi, so the run goes in chunks of CHUNK_VALUES
@@ -53,6 +58,9 @@ chunk.  The abort test and the drift read only the largest and the
 smallest norm of a chunk in which no path goes bad.  A renormalizing
 run rescales the states in the loop only every _RESCALE_EVERY steps, at
 fixed step numbers, so the output does not depend on the chunk length.
+An anchored run, one that carries an inert class, never rescales, since
+c keeps its scale: its stepped part must stay in range unaided, and a
+path on which it overflows aborts as non-finite.
 A path that dies inside a chunk runs on to the chunk's end, silently,
 and its rows are dropped.  The noiseless targets at all recorded times
 come from one eigendecomposition of H.  F at t = 0 is computed from
@@ -255,7 +263,7 @@ def _eigenbasis(M, H, S):
 
 
 def _occupied_classes(V, lam, phi0):
-    """A diagonal step reduced to one amplitude per occupied class: (Q, lam).
+    """A diagonal step reduced to one amplitude per occupied class: (Q, lam, u).
 
     A class is a set of components whose columns of lam[0] agree over all
     monomials, to 1e-14 of each monomial's largest entry: every step
@@ -266,8 +274,14 @@ def _occupied_classes(V, lam, phi0):
     single direction u_c = P_c phi0 / |P_c phi0| (P_c projects onto its
     columns of V), and the run steps the coordinates Q'psi over Q = [u_c]
     with lam's columns of one member of each class.  A class of one keeps
-    its column of V, so the components a run keeps step as before; when
-    nothing merges or drops, V and lam come back as they are.
+    its column of V, so the components a run keeps step as before.
+
+    A class whose column is (1, 0, ..., 0), to the same tolerance, is
+    inert: every step multiplies it by 1 (S and H vanish on it), so its
+    part of psi stays (u'phi0) u.  Merging leaves at most one.  If another
+    class is occupied, the inert one leaves Q and lam and comes back as u,
+    else u is None.  When nothing merges, drops or leaves, V and lam come
+    back as they are.
     """
     c0 = V.conj().T @ phi0
     L = lam[0].view(complex)
@@ -280,11 +294,20 @@ def _occupied_classes(V, lam, phi0):
                 break
         else:
             classes.append([i])
-    if len(classes) == len(c0):
-        return V, lam
-    Q = np.stack([V[:, m[0]] if len(m) == 1 else V[:, m] @ (c0[m] / np.linalg.norm(c0[m]))
-                  for m in classes], axis=1)
-    return Q, np.ascontiguousarray(lam.view(complex)[..., [m[0] for m in classes]]).view(float)
+
+    def direction(m):
+        return V[:, m[0]] if len(m) == 1 else V[:, m] @ (c0[m] / np.linalg.norm(c0[m]))
+
+    one = np.eye(len(L))[0]
+    inert = next((m for m in classes if np.all(np.abs(L[:, m[0]] - one) <= tol)), None)
+    u = None
+    if inert is not None and len(classes) > 1:
+        classes.remove(inert)
+        u = direction(inert)
+    elif len(classes) == len(c0):
+        return V, lam, None
+    Q = np.stack([direction(m) for m in classes], axis=1)
+    return Q, np.ascontiguousarray(lam.view(complex)[..., [m[0] for m in classes]]).view(float), u
 
 
 def _overlap_rows(phis):
@@ -297,15 +320,18 @@ def _overlap_rows(phis):
                     axis=-2)
 
 
-def _overlap_sq(P, T):
+def _overlap_sq(P, T, off=None):
     """|<phi|psi>|^2 of states P (rows, 2d, paths) against T (rows, 2, 2d).
 
     Summed component by component in a fixed order, so a value does not
-    depend on the array it sits in.
+    depend on the array it sits in.  `off`, if given, (rows, 2) holds Re
+    and Im of an overlap each row adds on every path.
     """
     ov = T[:, :, 0, None] * P[:, None, 0]
     for j in range(1, P.shape[1]):
         ov += T[:, :, j, None] * P[:, None, j]
+    if off is not None:
+        ov += off[:, :, None]
     return ov[:, 0] ** 2 + ov[:, 1] ** 2
 
 
@@ -349,15 +375,18 @@ def simulate_paths(H, S, model, phi0, config):
     M, (ax, an) = _step_map(H, S, model, config.scheme, config.dt)
     terms = len(M)
     V, shifts, lam = _eigenbasis(M, H, S)
+    u = None
     if len(shifts) == 1:
-        V, lam = _occupied_classes(V, lam, phi0)
+        V, lam, u = _occupied_classes(V, lam, phi0)
     # the amplitudes stepped per path: the columns of V
     amps = V.shape[1]
+    # kept states come back over V and the inert direction u, if any
+    out_basis = V if u is None else np.column_stack([V, u])
     rolls = [(np.arange(amps) + o) % amps for o in shifts[1:]]
 
     n_paths = config.n_paths
     fids = np.empty((n_paths, n_rec))
-    states = np.empty((n_paths, n_rec, 2 * amps)) if config.keep_states else None
+    states = np.empty((n_paths, n_rec, 2 * out_basis.shape[1])) if config.keep_states else None
     xs = np.empty((n_paths, n_rec)) if config.keep_states else None
     abort_step = np.full(n_paths, -1, dtype=np.int64)
     drift = 0.0
@@ -433,19 +462,29 @@ def simulate_paths(H, S, model, phi0, config):
     sq, nrm, tmp = np.empty((3, chunk + 1, n_paths))
     finite = np.empty((chunk, n_paths), dtype=bool)
     targets = _overlap_rows(phis @ V.conj())
+    if u is not None:
+        # The inert part anchor * u of psi is the same on every path and at
+        # every step: it adds |anchor|^2 to each squared norm and
+        # <phi_t|u> anchor to each overlap.
+        anchor = np.vdot(u, phi0)
+        anchor_sq = anchor.real ** 2 + anchor.imag ** 2
+        anchor_ov = (np.conj(phis @ u.conj()) * anchor).view(float).reshape(n_rec, 2)
 
     def record(rows, slots, sq, xrows):
         # F = |<phi|psi>|^2 / |psi|^2 (the state is unnormalized); rows of
         # aborted paths are recorded too, and dropped at the end
         P = Psi[rows]
-        f = _overlap_sq(P, targets[slots])
+        f = _overlap_sq(P, targets[slots], None if u is None else anchor_ov[slots])
         if renorm:
             f /= sq
         fids[:, slots] = f.T
         if states is not None:
             if renorm:
                 P /= np.sqrt(sq)[:, None]
-            states[:, slots] = P.transpose(2, 0, 1)
+            states[:, slots, :2 * amps] = P.transpose(2, 0, 1)
+            if u is not None:
+                states.view(complex)[:, slots, amps] = (anchor / np.sqrt(sq) if renorm
+                                                        else anchor).T
             xs[:, slots] = xrows.T
 
     step_no = 0
@@ -453,6 +492,8 @@ def simulate_paths(H, S, model, phi0, config):
     # overflow there; its rows are dropped, so that stays silent.
     with np.errstate(over="ignore", invalid="ignore"):
         _sq_norms(Psi[:1], out=sq[:1])
+        if u is not None:
+            sq[:1] += anchor_sq
         record([0], [0], sq[:1], X[:1])
         # F at t = 0 from phi0 itself (1 for a basis state and H = 0), which
         # the coordinates V'phi0 would give only to round-off
@@ -485,9 +526,10 @@ def simulate_paths(H, S, model, phi0, config):
                 # Only the linear update runs per step.  A renormalizing run
                 # rescales at absolute step numbers divisible by
                 # _RESCALE_EVERY (the chunk's steps due, due + _RESCALE_EVERY,
-                # ...), keeping the norm before the rescale.
+                # ...), keeping the norm before the rescale.  An anchored run
+                # never does: its inert part keeps its scale.
                 rescaled = {}
-                due = (-step_no - 1) % _RESCALE_EVERY if renorm else nc
+                due = (-step_no - 1) % _RESCALE_EVERY if renorm and u is None else nc
                 for s in range(nc):
                     mul(Cs[s], Gs[s], Cs[s + 1])
                     if rolls:
@@ -501,6 +543,8 @@ def simulate_paths(H, S, model, phi0, config):
                         rescaled[s] = n
                         due += _RESCALE_EVERY
                 _sq_norms(Psi[1:nc + 1], out=sq[1:nc + 1], tmp=tmp[:nc])
+                if u is not None:
+                    sq[1:nc + 1] += anchor_sq
                 np.sqrt(sq[:nc + 1], out=nrm[:nc + 1])
                 # the norm each step produced: of psi itself without
                 # renormalizing, else its growth over the step
@@ -550,7 +594,7 @@ def simulate_paths(H, S, model, phi0, config):
     rows = np.flatnonzero(alive)
     fid_rows = fids[rows]
     if states is not None:
-        states = states[rows].view(complex) @ V.T
+        states = states[rows].view(complex) @ out_basis.T
 
     violation = 0.0
     if fid_rows.size:

@@ -147,17 +147,31 @@ def test_noncommuting_operators_route_to_the_magnus_mean(tmp_path, case):
     assert np.max(np.abs(rows[:, 1] - want)) < 1e-3
 
 
+# fig7a's config, shortened
+FIG7A_INI = TINY_INI.replace("kind = pauli\nstate = 0\nnoise_op = X",
+                             "kind = twoqubit\nstate = 00\nbase_op = X").replace(
+    "kind = white\ngamma = 0.2", "kind = ou\ngamma = 0.2\nk = 0.3\ninit = stationary")
+
+
 def test_run_json_records_the_amplitudes_stepped(tmp_path):
-    # fig7a's config, shortened: |00> under the collective S = X (x) I +
-    # I (x) X has no weight on one eigenvector of S's double eigenvalue 0,
-    # so its diagonal run steps 3 amplitudes per path, not 4
-    text = TINY_INI.replace("kind = pauli\nstate = 0\nnoise_op = X",
-                            "kind = twoqubit\nstate = 00\nbase_op = X").replace(
-        "kind = white\ngamma = 0.2", "kind = ou\ngamma = 0.2\nk = 0.3\ninit = stationary")
-    out = tmp_path / "fig7a"
-    assert cli.main(["run", write_config(tmp_path, text=text, out=out)]) == 0
-    diag = json.loads((out / "run.json").read_text())["diagnostics"]
-    assert diag["sde_kernel"] == "diagonal" and diag["sde_amplitudes"] == 3
+    cases = {
+        # |00> under the collective S = X (x) I + I (x) X has no weight on
+        # one eigenvector of S's double eigenvalue 0, and H and S vanish on
+        # the other, so that part is carried as a constant: the run steps
+        # the eigenvalues +-2, 2 amplitudes per path, not 4
+        "fig7a": (FIG7A_INI, 2),
+        # fig6's config, shortened: |0> of |+> sits in P1's kernel, where
+        # H = 0, so only |1> is stepped
+        "fig6": (TINY_INI.replace("kind = pauli\nstate = 0\nnoise_op = X",
+                                  "kind = projection\nstate = +\nnoise_op = P1").replace(
+            "kind = white\ngamma = 0.2", "kind = ou\ngamma = 0.1\nk = 0.1\ninit = stationary"),
+            1),
+    }
+    for name, (text, amplitudes) in cases.items():
+        out = tmp_path / name
+        assert cli.main(["run", write_config(tmp_path, text=text, out=out)]) == 0
+        diag = json.loads((out / "run.json").read_text())["diagnostics"]
+        assert diag["sde_kernel"] == "diagonal" and diag["sde_amplitudes"] == amplitudes, name
 
 
 def test_overrides_reach_run_json(tmp_path):
@@ -243,16 +257,18 @@ def test_run_writes_stage_timings(tmp_path, capsys):
 def test_thread_count_does_not_change_output(tmp_path, monkeypatch):
     # Paths run in one thread, so the work is split only by the step loop's
     # chunk and the block of normals: at 40 paths, chunks of 50 (the whole
-    # run), 12 and 1 steps and blocks of 50, 24 and 2.
-    blobs = []
-    for values, normals in ((2**13, 2**20), (2**9, 999), (37, 111)):
-        monkeypatch.setattr(sde, "CHUNK_VALUES", values)
-        monkeypatch.setattr(sde, "BLOCK_NORMALS", normals)
-        out = tmp_path / f"split{values}_{normals}"
-        cfg = write_config(tmp_path, out=out)
-        assert cli.main(["run", cfg]) == 0
-        blobs.append((out / "summary.csv").read_bytes())
-    assert blobs[0] == blobs[1] == blobs[2]
+    # run), 12 and 1 steps and blocks of 50, 24 and 2.  fig7a's |00> carries
+    # an inert class as a constant and never rescales.
+    for name, text in (("pauli", TINY_INI), ("fig7a", FIG7A_INI)):
+        blobs = []
+        for values, normals in ((2**13, 2**20), (2**9, 999), (37, 111)):
+            monkeypatch.setattr(sde, "CHUNK_VALUES", values)
+            monkeypatch.setattr(sde, "BLOCK_NORMALS", normals)
+            out = tmp_path / f"{name}_split{values}_{normals}"
+            cfg = write_config(tmp_path, text=text, out=out)
+            assert cli.main(["run", cfg]) == 0
+            blobs.append((out / "summary.csv").read_bytes())
+        assert blobs[0] == blobs[1] == blobs[2], name
 
 
 APPROX_INI = TINY_INI.replace("kind = pauli", "kind = approx-order").replace(

@@ -207,60 +207,72 @@ def _collective(Q):
     return np.kron(Q, _I2) + np.kron(_I2, Q)
 
 
-# Each pair commutes, with the amplitudes the run steps per path.  Z (x) I
-# has two double eigenvalues, and eigh returns the standard basis, in which
-# I (x) X is not diagonal: only the basis that also diagonalizes H inside
-# S's eigenspaces makes the step matrices diagonal there.  A collective S
-# has the double eigenvalue 0: under X, eigh puts all of |00>'s weight
-# there on one eigenvector and the other is dropped; under Y both carry
-# some, and the two merge.  GHZ has no weight there, only the round-off
-# eigh leaves, so its run steps the eigenvalues +-2 alone.  Eigenvalues of
-# S split by 1e-8, or of H by 1e-9 inside a block of S, give distinct step
-# factors and must not merge.
+# Each pair commutes, with the amplitudes the run steps per path and its
+# occupied classes, an inert one included.  Z (x) I has two double
+# eigenvalues, and eigh returns the standard basis, in which I (x) X is not
+# diagonal: only the basis that also diagonalizes H inside S's eigenspaces
+# makes the step matrices diagonal there.  A collective S has the double
+# eigenvalue 0: under X, eigh puts all of |00>'s weight there on one
+# eigenvector and the other is dropped; under Y both carry some, and the
+# two merge.  Where H vanishes too, that class is inert: the run carries
+# it as a constant and steps the other two, as it does |1> of |+> under
+# P1.  The singlet lies wholly in that class, which is then stepped.  GHZ
+# has no weight there, only the round-off eigh leaves, so its run steps
+# the eigenvalues +-2 alone.  Eigenvalues of S split by 1e-8, or of H by
+# 1e-9 inside a block of S, give distinct step factors and must not merge.
 COMMUTING = {
-    "pauli": (0.8 * qstate.SIGMA_X, qstate.SIGMA_X, KET0, 2),
-    "projection": (ZERO_H, qstate.PROJ_1, np.array([0.6, 0.8j]), 2),
-    "collective": (_XX, _collective(qstate.SIGMA_X), _KET00, 3),
+    "pauli": (0.8 * qstate.SIGMA_X, qstate.SIGMA_X, KET0, 2, 2),
+    "projection": (ZERO_H, qstate.PROJ_1, np.array([0.6, 0.8j]), 1, 2),
+    "collective": (_XX, _collective(qstate.SIGMA_X), _KET00, 3, 3),
     "degenerate": (np.kron(_I2, qstate.SIGMA_X) + 0.5 * np.kron(qstate.SIGMA_Z, qstate.SIGMA_X),
-                   np.kron(qstate.SIGMA_Z, _I2), np.array([0.5, 0.1j, -0.7, 0.5j]), 4),
-    "collective_x": (np.zeros((4, 4)), _collective(qstate.SIGMA_X), _KET00, 3),
-    "collective_y": (np.zeros((4, 4)), _collective(qstate.SIGMA_Y), _KET00, 3),
+                   np.kron(qstate.SIGMA_Z, _I2), np.array([0.5, 0.1j, -0.7, 0.5j]), 4, 4),
+    "collective_x": (np.zeros((4, 4)), _collective(qstate.SIGMA_X), _KET00, 2, 3),
+    "collective_y": (np.zeros((4, 4)), _collective(qstate.SIGMA_Y), _KET00, 2, 3),
     "collective_ghz": (np.zeros((4, 4)), _collective(qstate.SIGMA_X),
-                       np.array([1.0, 0, 0, 1.0]) / math.sqrt(2.0), 2),
-    "z_on_0": (ZERO_H, qstate.SIGMA_Z, KET0, 1),
+                       np.array([1.0, 0, 0, 1.0]) / math.sqrt(2.0), 2, 2),
+    "singlet": (np.zeros((4, 4)), _collective(qstate.SIGMA_X),
+                np.array([0, 1.0, -1.0, 0]) / math.sqrt(2.0), 1, 1),
+    "z_on_0": (ZERO_H, qstate.SIGMA_Z, KET0, 1, 1),
     "s_split": (np.zeros((4, 4)), np.kron(qstate.SIGMA_X, _I2) + 0.5e-8 * np.kron(
-        _I2, qstate.SIGMA_X), _KET00, 4),
+        _I2, qstate.SIGMA_X), _KET00, 4, 4),
     "h_split": (0.5e-9 * np.kron(_I2, qstate.SIGMA_X), np.kron(qstate.SIGMA_Z, _I2),
-                np.array([1.0, 0, 1.0, 0]) / math.sqrt(2.0), 4),
+                np.array([1.0, 0, 1.0, 0]) / math.sqrt(2.0), 4, 4),
 }
 
 
-# A one-amplitude case runs renormalized only: unnormalized, its F is the
+# A one-class case runs renormalized only: unnormalized, its F is the
 # squared norm, which drifts out of [0, 1] (by 1.7e-5 for S = Z on |0>).
 @pytest.mark.parametrize("case, scheme, renormalize", [
     (case, scheme, renormalize) for case in sorted(COMMUTING)
     for scheme, renormalize in ((sde.PLATEN_WEAK2, True), (sde.EULER_MARUYAMA, True),
                                 (sde.PLATEN_WEAK2, False))
-    if renormalize or COMMUTING[case][3] > 1])
+    if renormalize or COMMUTING[case][4] > 1])
 def test_diagonal_kernel_matches_step_loop(case, scheme, renormalize):
     """A commuting run steps one amplitude per occupied class of the joint
-    eigenbasis; step() is the oracle.
+    eigenbasis, less an inert class it carries as a constant; step() is the
+    oracle.
 
-    The 150 steps pass the rescale points 64 and 128 of a renormalizing run.
-    Without renormalization the norm drifts, and an early fidelity would
-    leave [0, 1], so that run records only its last step.  Unnormalized
-    Euler drifts by up to 10% here, past 1 even there.
+    The 150 steps pass the rescale points 64 and 128 of a renormalizing run
+    (an anchored run, which carries an inert class, skips them).  Without
+    renormalization the norm drifts, and an early fidelity would leave
+    [0, 1], so that run records only its last step.  Unnormalized Euler
+    drifts by up to 10% here, past 1 even there.
     """
-    H, S, phi0, amplitudes = COMMUTING[case]
+    H, S, phi0, amplitudes, classes = COMMUTING[case]
     phi0 = qstate.as_state(phi0)
     model = noise.ou_noise(0.3, 0.7, init=noise.STATIONARY)
     cfg = sde.SimConfig(dt=0.01, T=1.5, n_paths=3, master_seed=12, scheme=scheme,
                         renormalize=renormalize, record_every=1 if renormalize else 150,
                         keep_states=True)
+    V, _, lam = sde._eigenbasis(sde._step_map(H, S, model, scheme, cfg.dt)[0], H, S)
+    Q, _, u = sde._occupied_classes(V, lam, phi0)
+    assert Q.shape[1] + (u is not None) == classes
     res = sde.simulate_paths(H, S, model, phi0, cfg)
     assert res.kernel == "diagonal"
     assert res.amplitudes == amplitudes
     assert res.aborted == ()
+    if case == "singlet":
+        assert np.max(np.abs(res.fidelities - 1.0)) < 1e-14
     targets = sde.target_evolution(H, phi0, res.times)
     for i in range(3):
         stream = np.random.Generator(
