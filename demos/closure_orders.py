@@ -10,14 +10,14 @@ import math
 
 import numpy as np
 
-from sselab import approx, laws, noise
+from sselab import approx, laws, noise, qstate
 
 GAMMA = 0.2
 K = 0.1
 
 
 def main():
-    law = laws.pauli_law(0.0)
+    law = laws.spectral_law(qstate.SIGMA_X, np.array([1, 0], dtype=complex))
     model = noise.ou_noise(GAMMA, K)
     first = approx.integrate_closure(approx.first_order_system(GAMMA, K, 0.0), 150.0)
     second = approx.integrate_closure(approx.second_order_system(GAMMA, K, 0.0), 150.0)

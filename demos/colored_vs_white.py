@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from sselab import laws, noise
+from sselab import laws, noise, qstate
 
 GAMMA = 0.1
 K = 0.05
@@ -18,7 +18,8 @@ S0 = 1 / math.sqrt(2)
 
 
 def main():
-    law = laws.projection_law(S0)
+    phi0 = np.array([math.sqrt(1 - S0**2), S0], dtype=complex)  # |+>
+    law = laws.spectral_law(qstate.PROJ_1, phi0)
     ou = noise.ou_noise(GAMMA, K, init=noise.STATIONARY)
     wn = noise.white_noise(GAMMA)
     print(f"{'t':>7} {'OU mean':>9} {'WN mean':>9} {'OU var':>9} {'WN var':>9}")

@@ -17,20 +17,19 @@ N = 2000
 
 
 def main():
-    law = laws.pauli_law(0.0)
+    ket0 = np.array([1, 0], dtype=complex)
+    law = laws.spectral_law(qstate.SIGMA_X, ket0)
     model = noise.ou_noise(GAMMA, K)
     cfg = sde.SimConfig(dt=5e-4, T=max(SLICES), n_paths=N, master_seed=42,
                         record_every=100)
-    res = sde.simulate_paths(np.zeros((2, 2)), qstate.SIGMA_X, model,
-                             np.array([1, 0], dtype=complex), cfg)
+    res = sde.simulate_paths(np.zeros((2, 2)), qstate.SIGMA_X, model, ket0, cfg)
     rng = np.random.default_rng(99)
     print(f"{'t':>6} {'mc mean':>9} {'law mean':>9} {'KS':>7}")
     for t in SLICES:
         j = int(np.argmin(np.abs(res.times - t)))
         mc = res.fidelities[:, j]
         direct = laws.sample_distribution(law, model, t, N, rng)
-        ks = stats.ks_distance(stats.SampleSet(values=mc),
-                               stats.SampleSet(values=direct))
+        ks = stats.ks_distance(mc, direct)
         m, _ = laws.series_mean_variance(law, model, t)
         print(f"{t:6.2f} {mc.mean():9.5f} {m:9.5f} {ks:7.4f}")
     print(f"KS fluctuates around sqrt(1/n) ~ {1 / np.sqrt(N):.3f} when the "

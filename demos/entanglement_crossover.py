@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from sselab import laws
+from sselab import laws, qstate
 
 GAMMA = 0.2
 
@@ -21,8 +21,9 @@ def asymptote(law, v):
 
 
 def main():
-    law00 = laws.two_qubit_law(0.0, 0.0, "pauli")
-    lawghz = laws.two_qubit_law(0.0, 1.0, "pauli")
+    S = qstate.build_operator(("sum", ("tensor", "X", "I"), ("tensor", "I", "X")))
+    law00 = laws.spectral_law(S, np.array([1, 0, 0, 0], dtype=complex))
+    lawghz = laws.spectral_law(S, np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2))
     print(f"{'k':>6} {'v_inf':>7} {'F(|00>)':>9} {'F(GHZ)':>9}  winner")
     for k in (1.0, 0.3, 0.1, 0.04, 0.01):
         v = GAMMA**2 / k

@@ -18,13 +18,12 @@ N_PATHS = 40
 
 def main():
     cases = [
-        ("pauli, |0>", qstate.SIGMA_X, np.array([1, 0], dtype=complex),
-         laws.pauli_law(0.0)),
+        ("pauli, |0>", qstate.SIGMA_X, np.array([1, 0], dtype=complex)),
         ("projection, |+>", qstate.PROJ_1,
-         np.array([1, 1], dtype=complex) / math.sqrt(2),
-         laws.projection_law(1 / math.sqrt(2))),
+         np.array([1, 1], dtype=complex) / math.sqrt(2)),
     ]
-    for name, S, phi0, law in cases:
+    for name, S, phi0 in cases:
+        law = laws.spectral_law(S, phi0)
         cfg = sde.SimConfig(dt=1e-4, T=1.0, n_paths=N_PATHS, master_seed=7,
                             record_every=100, keep_states=True)
         model = noise.white_noise(GAMMA)

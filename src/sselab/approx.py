@@ -75,7 +75,7 @@ def first_order_system(gamma, k, s0):
     ], dtype=complex)
     return ClosureSystem(
         order=1, a=a, v0=np.array([1.0, s0**2, 0.0], dtype=complex),
-        c_fn=lambda t: k * noise_mod.terminal_increment_law(model, t)[1] - g2,
+        c_fn=lambda t: k * noise_mod.increment_variance(model, t) - g2,
     )
 
 
@@ -92,7 +92,7 @@ def second_order_system(gamma, k, s0):
     ], dtype=complex)
     return ClosureSystem(
         order=2, a=a, v0=np.array([1.0, s0**2, 0.0, 0.0, 0.0, 0.0], dtype=complex),
-        c_fn=lambda t: k * noise_mod.terminal_increment_law(model, t)[1] - 2 * g2,
+        c_fn=lambda t: k * noise_mod.increment_variance(model, t) - 2 * g2,
     )
 
 

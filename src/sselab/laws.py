@@ -8,12 +8,13 @@ increment Delta X = X_t - X_0:
                = sum_m c_m cos(m Delta X),
 
 with s_j the eigenvalues of S and p_j = |<v_j|phi0>|^2.  The
-frequencies m are the eigenvalue gaps of S (`spectral_law`); for the
-Pauli, projection and two-qubit couplings they are the integer
-harmonics of the closed forms below.  Because Delta X is Gaussian,
-means are exact via the characteristic function and second moments via
-series self-convolution; nothing here involves quadrature or
-truncation.
+frequencies m are the eigenvalue gaps of S, and one eigh gives the law
+for any S (`spectral_law`).  The paper's closed forms for the Pauli,
+projection, two-qubit collective and product-state couplings are its
+special cases; the test suite keeps them as oracles.  Because Delta X
+is Gaussian, means are exact via the characteristic function
+(`noise.expected_cos`) and second moments via series self-convolution;
+nothing here involves quadrature or truncation.
 """
 
 from dataclasses import dataclass
@@ -25,10 +26,6 @@ from . import noise as noise_mod
 
 # Relative size below which a spectral-law weight is round-off, not signal.
 WEIGHT_FLOOR = 1e-15
-
-
-class LawRangeError(ValueError):
-    """Raised when a candidate law leaves [0,1] on the validation grid."""
 
 
 @dataclass(frozen=True)
@@ -51,12 +48,6 @@ class CosineSeries:
             else:
                 out += c * np.cos(m * x)
         return out if out.ndim else float(out)
-
-    def coefficient(self, m):
-        for mm, c in self.terms:
-            if mm == m:
-                return c
-        return 0.0
 
 
 def _make_series(coeffs):
@@ -98,73 +89,6 @@ class ScenarioLaw:
     s0: float
 
 
-def pauli_law(s0):
-    """Single-qubit law for S with S^2 = I and [H,S] = 0.
-
-    F = cos^2(Delta X) + s0^2 sin^2(Delta X), s0 = <phi0|S|phi0>.
-    """
-    if abs(s0) > 1:
-        raise ValueError("pauli law needs |s0| <= 1")
-    return _make_series({0: (1 + s0**2) / 2, 2: (1 - s0**2) / 2})
-
-
-def projection_law(s0):
-    """Single-qubit law for S with S^2 = S and [H,S] = 0.
-
-    F = 1 - 2 (1 - s0^2) s0^2 (1 - cos Delta X), with s0^2 = <phi0|S|phi0>
-    (s0 is the amplitude on the S = 1 eigenspace).
-    """
-    if abs(s0) > 1:
-        raise ValueError("projection law needs |s0| <= 1")
-    w = 2 * (1 - s0**2) * s0**2
-    return _make_series({0: 1 - w, 1: w})
-
-
-def _validate_range(series, where):
-    grid = np.linspace(0.0, 2 * np.pi, 10_001)
-    vals = series.evaluate(grid)
-    if vals.min() < -1e-12 or vals.max() > 1 + 1e-12:
-        raise LawRangeError(
-            f"{where}: series leaves [0,1] "
-            f"(range [{vals.min():.3e}, {vals.max():.3e}])"
-        )
-
-
-def two_qubit_law(s0, r0, klass):
-    """Two-qubit law for S = Q (x) I + I (x) Q, R = Q (x) Q.
-
-    s0 = <S>, r0 = <R>.  klass "pauli" (Q^2 = I) gives harmonics
-    {0, 2, 4}; klass "projection" (Q^2 = Q) gives harmonics {0, 1, 2}.
-    A (s0, r0) pair whose series leaves [0,1] on a 10^4-point grid is
-    rejected as inconsistent.
-    """
-    if abs(s0) > 2 or abs(r0) > 1:
-        raise ValueError("need |s0| <= 2 and |r0| <= 1")
-    if klass == "pauli":
-        c4 = ((1 + r0) ** 2 - s0**2) / 8
-        series = _make_series(
-            {
-                0: (s0**2 + (r0 - 1) ** 2) / 4 + c4,
-                2: (1 - r0**2) / 2,
-                4: c4,
-            }
-        )
-    elif klass == "projection":
-        alpha = s0**2 - s0 - 2 * r0
-        beta = 2 * r0 * (s0 - r0 - 1)
-        series = _make_series(
-            {
-                0: 1 + 2 * alpha - 3 * beta,
-                1: 4 * beta - 2 * alpha,
-                2: -beta,
-            }
-        )
-    else:
-        raise ValueError(f"unknown class {klass!r}")
-    _validate_range(series, f"two_qubit_law({s0}, {r0}, {klass})")
-    return series
-
-
 def product_two(a, b):
     """Pointwise product of two cosine series, re-expanded.
 
@@ -180,21 +104,6 @@ def product_two(a, b):
                 coeffs[m + n] = coeffs.get(m + n, 0.0) + half
                 coeffs[abs(m - n)] = coeffs.get(abs(m - n), 0.0) + half
     return _make_series(coeffs)
-
-
-def product_law(single_laws):
-    """Product of per-qubit laws: the joint law of a product state.
-
-    Qubits driven by the same noise path evolve independently but see
-    the same Delta X, so their fidelities multiply pathwise.
-    """
-    laws = list(single_laws)
-    if not laws:
-        raise ValueError("need at least one factor")
-    out = laws[0]
-    for law in laws[1:]:
-        out = product_two(out, law)
-    return out
 
 
 def series_mean_variance(law, model, t):
@@ -218,6 +127,6 @@ def sample_distribution(law, model, t, n, stream):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    _, v = noise_mod.terminal_increment_law(model, t)
+    v = noise_mod.increment_variance(model, t)
     dx = np.sqrt(v) * stream.standard_normal(n)
     return law.evaluate(dx)

@@ -89,14 +89,12 @@ def build_operator(spec):
     raise OperatorSpecError(f"cannot interpret operator spec {spec!r}")
 
 
-def commutator(a, b, anti=False):
-    """AB - BA, or the anticommutator AB + BA when anti is set."""
+def commutator(a, b):
+    """AB - BA."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch {a.shape} vs {b.shape}")
-    if anti:
-        return a @ b + b @ a
     return a @ b - b @ a
 
 

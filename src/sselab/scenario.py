@@ -98,7 +98,6 @@ class Scenario:
     sim: sde_mod.SimConfig
     out_dir: str
     noise_spec: str = "X"
-    h_spec: str = "none"
     alpha: float = 1.0
     t_slices: tuple = ()
     scan_T: float = 0.0
@@ -225,7 +224,6 @@ def resolve(cfg, label="custom"):
         sim=sim,
         out_dir=_get(cfg, "output", "dir", f"runs/{label}"),
         noise_spec=op_spec,
-        h_spec=h_spec,
         alpha=alpha,
         t_slices=slices,
         scan_T=scan_T,
@@ -550,9 +548,7 @@ def check_run(result):
                 "the analytic mean (budget 1%)"
             )
     for t, (mc, law) in sorted(result.slice_samples.items()):
-        ks = stats_mod.ks_distance(
-            stats_mod.SampleSet(values=mc), stats_mod.SampleSet(values=law)
-        )
+        ks = stats_mod.ks_distance(mc, law)
         if ks > 0.05:
             failures.append(f"KS distance {ks:.3f} > 0.05 at t={t:g}")
     return failures

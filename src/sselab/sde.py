@@ -280,8 +280,11 @@ def _occupied_classes(V, lam, phi0):
     inert: every step multiplies it by 1 (S and H vanish on it), so its
     part of psi stays (u'phi0) u.  Merging leaves at most one.  If another
     class is occupied, the inert one leaves Q and lam and comes back as u,
-    else u is None.  When nothing merges, drops or leaves, V and lam come
-    back as they are.
+    else u is None.  An inert class that is the only one occupied is
+    stepped, with its column set to exactly (1, 0, ..., 0): the eigh
+    basis leaves round-off of a few 1e-16 there, which a long run would
+    compound.  When nothing merges, drops or leaves, V and lam come back
+    as they are.
     """
     c0 = V.conj().T @ phi0
     L = lam[0].view(complex)
@@ -307,7 +310,10 @@ def _occupied_classes(V, lam, phi0):
     elif len(classes) == len(c0):
         return V, lam, None
     Q = np.stack([direction(m) for m in classes], axis=1)
-    return Q, np.ascontiguousarray(lam.view(complex)[..., [m[0] for m in classes]]).view(float), u
+    lam = lam.view(complex)[..., [m[0] for m in classes]]
+    if classes == [inert]:
+        lam[0, :, 0] = one
+    return Q, np.ascontiguousarray(lam).view(float), u
 
 
 def _overlap_rows(phis):

@@ -14,6 +14,7 @@ import pytest
 import scipy.linalg
 
 from sselab import approx, cli, laws, magnus, noise, qstate, scenario, sde, stats
+import oracles
 from test_sde import JointState, step
 
 GAMMA = 0.2
@@ -45,13 +46,13 @@ def pathwise_gaps(H, S, phi0, law, n_paths, seed):
 def test_criterion_01_pathwise_law_oracle():
     t0 = time.time()
     cases = [
-        ("pauli", np.zeros((2, 2)), qstate.SIGMA_X, KET0, laws.pauli_law(0.0)),
+        ("pauli", np.zeros((2, 2)), qstate.SIGMA_X, KET0, oracles.pauli_law(0.0)),
         ("projection", np.zeros((2, 2)), qstate.PROJ_1, KET_PLUS,
-         laws.projection_law(1 / math.sqrt(2))),
+         oracles.projection_law(1 / math.sqrt(2))),
         ("twoqubit-00", np.zeros((4, 4)), SX2, KET00,
-         laws.two_qubit_law(0.0, 0.0, "pauli")),
+         oracles.two_qubit_law(0.0, 0.0, "pauli")),
         ("twoqubit-ghz", np.zeros((4, 4)), SX2, GHZ,
-         laws.two_qubit_law(0.0, 1.0, "pauli")),
+         oracles.two_qubit_law(0.0, 1.0, "pauli")),
     ]
     failures = []
     for name, H, S, phi0, law in cases:
@@ -68,7 +69,7 @@ def test_criterion_01_pathwise_law_oracle():
 def test_criterion_02_calibrated_pauli_reproduction():
     g, k = 0.2, 0.1
     model = noise.ou_noise(g, k)
-    law = laws.pauli_law(0.0)
+    law = oracles.pauli_law(0.0)
     cfg = sde.SimConfig(dt=1e-3, T=5.0, n_paths=2000, master_seed=2025,
                         record_every=100)
     res = sde.simulate_paths(np.zeros((2, 2)), qstate.SIGMA_X, model, KET0, cfg)
@@ -123,8 +124,7 @@ def test_criterion_03_distribution_slices(tmp_path):
     failures = []
     for t, (mc, law_samples) in sorted(result.slice_samples.items()):
         assert len(mc) == 2000 and len(law_samples) == 2000
-        ks = stats.ks_distance(stats.SampleSet(values=np.asarray(mc)),
-                               stats.SampleSet(values=np.asarray(law_samples)))
+        ks = stats.ks_distance(mc, law_samples)
         print(f"criterion 3: t={t:g} KS={ks:.4f}")
         if ks > 0.05:
             failures.append(f"t={t:g}: KS {ks:.4f} > 0.05")
@@ -198,12 +198,12 @@ def test_criterion_05_projection_colored_vs_white(tmp_path):
     failures = list(scenario.check_run(result))
 
     law = scenario.scenario_law(scn)
-    # the weight on P1's S = 1 eigenspace, laws.projection_law's s0^2
+    # the weight on P1's S = 1 eigenspace, oracles.projection_law's s0^2
     s0sq = qstate.expect_value(scn.noise_operator(), scn.state).real
     w = 2 * (1 - s0sq) * s0sq
     g, k = scn.model.gamma, scn.model.k
     # asymptotes: white noise loses every harmonic, OU keeps e^{-v_inf/2}
-    wn_asym = law.series.coefficient(0)
+    wn_asym = oracles.coefficient(law.series, 0)
     assert abs(wn_asym - (1 - w)) < 1e-12
     ou_asym = mean_at_variance(law.series, g * g / k)
     closed = 1 - w * (1 - math.exp(-g * g / (2 * k)))
@@ -229,8 +229,8 @@ def test_criterion_05_projection_colored_vs_white(tmp_path):
 
 
 def test_criterion_06_two_qubit_entanglement_crossover(tmp_path):
-    law00 = laws.two_qubit_law(0.0, 0.0, "pauli")
-    lawghz = laws.two_qubit_law(0.0, 1.0, "pauli")
+    law00 = oracles.two_qubit_law(0.0, 0.0, "pauli")
+    lawghz = oracles.two_qubit_law(0.0, 1.0, "pauli")
     failures = []
 
     targets = {(0.3, "00"): 0.801, (0.3, "ghz"): 0.672,
@@ -281,7 +281,7 @@ def test_criterion_07_moment_engine():
     dx = xt - x0
     for n in (1, 2, 3):
         mc = float(np.mean(dx ** (2 * n)))
-        exact = noise.raw_even_moment(n, model, t)
+        exact = oracles.raw_even_moment(n, model, t)
         rel = abs(mc - exact) / exact
         print(f"criterion 7: 2n={2 * n} MC={mc:.3e} exact={exact:.3e} rel={rel:.3%}")
         if rel > 0.05:
@@ -290,7 +290,7 @@ def test_criterion_07_moment_engine():
     sigma2 = g * g / (2 * k) * (1 - math.exp(-2 * k * t))
     dfact = {2: 1, 4: 3, 6: 15, 8: 105, 10: 945, 12: 10395}
     for m in range(1, 13):
-        got = noise.conditional_moment(m, 0.0, model, t)
+        got = oracles.conditional_moment(m, 0.0, model, t)
         want = 0.0 if m % 2 else dfact[m] * sigma2 ** (m // 2)
         if abs(got - want) > 1e-12 * max(1.0, abs(want)):
             failures.append(f"conditional moment m={m}: {got!r} vs {want!r}")
@@ -298,13 +298,13 @@ def test_criterion_07_moment_engine():
     # (c) k -> 0 limits against the white-noise formulas
     tiny = noise.ou_noise(g, 1e-9)
     tiny_st = noise.ou_noise(g, 1e-9, init=noise.STATIONARY)
-    _, v_wn = noise.terminal_increment_law(noise.white_noise(g), t)
+    v_wn = noise.increment_variance(noise.white_noise(g), t)
     for mdl in (tiny, tiny_st):
-        _, v = noise.terminal_increment_law(mdl, t)
+        v = noise.increment_variance(mdl, t)
         if abs(v - v_wn) / v_wn > 1e-6:
             failures.append(f"k->0 variance limit broken for {mdl.init}")
     for m in range(1, 13):
-        got = noise.conditional_moment(m, 0.4, tiny, t)
+        got = oracles.conditional_moment(m, 0.4, tiny, t)
         want = _gaussian_moment(0.4, g * math.sqrt(t), m)
         if abs(got - want) > 1e-6 * max(1.0, abs(want)):
             failures.append(f"k->0 conditional moment m={m}")
@@ -324,8 +324,8 @@ def _gaussian_moment(mu, sigma, m):
 
 def test_criterion_08_three_qubit_factoring():
     s_vals = (0.0, 0.5, 0.8)
-    singles = [laws.pauli_law(s) for s in s_vals]
-    joint = laws.product_law(singles)
+    singles = [oracles.pauli_law(s) for s in s_vals]
+    joint = oracles.product_law(singles)
 
     # pointwise agreement with the direct 8-dimensional amplitude
     phis = []

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from sselab import approx, laws, noise
 
+import oracles
+
 
 def exact_pauli_mean(ts, gamma, k, s0):
     model = noise.ou_noise(gamma, k)
-    law = laws.pauli_law(s0)
+    law = oracles.pauli_law(s0)
     return np.array([laws.series_mean_variance(law, model, t)[0] for t in ts])
 
 
@@ -27,7 +29,7 @@ def matrix_fn(system, t):
 
 def second_moment(t, g, k):
     """E[X_t^2] from 0: the calibrated OU variance of the increment."""
-    return noise.terminal_increment_law(noise.ou_noise(g, k), t)[1]
+    return noise.increment_variance(noise.ou_noise(g, k), t)
 
 
 def test_first_order_matrix_entries():

@@ -5,6 +5,8 @@ import pytest
 
 from sselab import noise, qstate, sde
 
+import oracles
+
 
 def gaussian_power_moment(mu, sigma, m):
     """E[(mu + sigma Z)^m] by the binomial sum, Z standard normal.
@@ -39,22 +41,22 @@ def test_model_constructors():
 
 def test_terminal_increment_variance_formulas():
     g, k, t = 0.3, 0.7, 1.3
-    _, v = noise.terminal_increment_law(noise.white_noise(g), t)
+    v = noise.increment_variance(noise.white_noise(g), t)
     assert abs(v - g * g * t) < 1e-15
-    _, v = noise.terminal_increment_law(noise.ou_noise(g, k), t)
+    v = noise.increment_variance(noise.ou_noise(g, k), t)
     assert abs(v - g * g / (2 * k) * (1 - math.exp(-2 * k * t))) < 1e-15
-    _, v = noise.terminal_increment_law(noise.ou_noise(g, k, init=noise.STATIONARY), t)
+    v = noise.increment_variance(noise.ou_noise(g, k, init=noise.STATIONARY), t)
     assert abs(v - g * g / k * (1 - math.exp(-k * t))) < 1e-15
     with pytest.raises(ValueError):
-        noise.terminal_increment_law(noise.white_noise(g), -0.5)
+        noise.increment_variance(noise.white_noise(g), -0.5)
 
 
 def test_variance_k_to_zero_limit():
     # both OU variants converge to the white-noise variance as k -> 0
     g, t = 0.25, 2.0
-    _, v_wn = noise.terminal_increment_law(noise.white_noise(g), t)
+    v_wn = noise.increment_variance(noise.white_noise(g), t)
     for init in (noise.CALIBRATED, noise.STATIONARY):
-        _, v = noise.terminal_increment_law(noise.ou_noise(g, 1e-9, init=init), t)
+        v = noise.increment_variance(noise.ou_noise(g, 1e-9, init=init), t)
         assert abs(v - v_wn) / v_wn < 1e-6
 
 
@@ -63,21 +65,21 @@ def test_calibrated_variance_as_second_moment():
     coefficients read: exact at k = 0, the stationary plateau at long
     times, and a time array gives the scalar values elementwise."""
     g, k = 0.3, 0.4
-    _, v = noise.terminal_increment_law(noise.ou_noise(g, 0.0), 2.0)
+    v = noise.increment_variance(noise.ou_noise(g, 0.0), 2.0)
     assert v == pytest.approx(g * g * 2.0, rel=1e-15)
-    _, v = noise.terminal_increment_law(noise.ou_noise(g, k), 1e3)
+    v = noise.increment_variance(noise.ou_noise(g, k), 1e3)
     assert v == pytest.approx(g * g / (2 * k), rel=1e-15)
     ts = np.array([0.0, 1.5, 1e3])
     for kk in (0.0, k):
         model = noise.ou_noise(g, kk)
-        want = [noise.terminal_increment_law(model, float(s))[1] for s in ts]
-        assert np.array_equal(noise.terminal_increment_law(model, ts)[1], want)
+        want = [noise.increment_variance(model, float(s)) for s in ts]
+        assert np.array_equal(noise.increment_variance(model, ts), want)
 
 
 def test_expected_cos_matches_characteristic_function():
     model = noise.ou_noise(0.2, 0.1)
     for t in (0.1, 1.0, 7.0):
-        _, v = noise.terminal_increment_law(model, t)
+        v = noise.increment_variance(model, t)
         for alpha in (1, 2, 4):
             want = math.exp(-0.5 * alpha * alpha * v)
             assert abs(noise.expected_cos(alpha, model, t) - want) < 1e-15
@@ -87,7 +89,7 @@ def test_expected_cos_quadrature_oracle():
     """Check E[cos(a DX)] against direct Gaussian quadrature."""
     model = noise.ou_noise(0.3, 0.4, init=noise.STATIONARY)
     t = 1.7
-    _, v = noise.terminal_increment_law(model, t)
+    v = noise.increment_variance(model, t)
     xs = np.linspace(-8 * math.sqrt(v), 8 * math.sqrt(v), 200001)
     pdf = np.exp(-xs * xs / (2 * v)) / math.sqrt(2 * math.pi * v)
     for alpha in (1, 2):
@@ -98,14 +100,14 @@ def test_expected_cos_quadrature_oracle():
 def test_raw_even_moment_double_factorial():
     model = noise.ou_noise(0.2, 0.5)
     t = 0.9
-    _, v = noise.terminal_increment_law(model, t)
-    assert abs(noise.raw_even_moment(1, model, t) - v) < 1e-15
-    assert abs(noise.raw_even_moment(2, model, t) - 3 * v * v) < 1e-15
-    assert abs(noise.raw_even_moment(3, model, t) - 15 * v**3) < 1e-15
+    v = noise.increment_variance(model, t)
+    assert abs(oracles.raw_even_moment(1, model, t) - v) < 1e-15
+    assert abs(oracles.raw_even_moment(2, model, t) - 3 * v * v) < 1e-15
+    assert abs(oracles.raw_even_moment(3, model, t) - 15 * v**3) < 1e-15
     with pytest.raises(ValueError):
-        noise.raw_even_moment(0, model, t)
+        oracles.raw_even_moment(0, model, t)
     with pytest.raises(ValueError):
-        noise.raw_even_moment(7, model, t)  # order 14 > guard
+        oracles.raw_even_moment(7, model, t)  # order 14 > guard
 
 
 def test_raw_even_moment_monte_carlo():
@@ -125,7 +127,7 @@ def test_raw_even_moment_monte_carlo():
         dx = xt - x0
         for n in (1, 2, 3):
             mc = float(np.mean(dx ** (2 * n)))
-            exact = noise.raw_even_moment(n, model, t)
+            exact = oracles.raw_even_moment(n, model, t)
             assert abs(mc - exact) / exact < 0.05
 
 
@@ -138,7 +140,7 @@ def test_conditional_moment_gaussian_oracle():
     for X0 in (0.0, 0.4, -1.1):
         for m in range(0, 13):
             want = gaussian_power_moment(X0 * mu_factor, sigma, m)
-            got = noise.conditional_moment(m, X0, model, t)
+            got = oracles.conditional_moment(m, X0, model, t)
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
@@ -147,11 +149,11 @@ def test_conditional_moment_calibrated_closed_forms():
     g, k, t = 0.25, 0.4, 2.0
     model = noise.ou_noise(g, k)
     sigma2 = g * g / (2 * k) * (1 - math.exp(-2 * k * t))
-    assert noise.conditional_moment(1, 0.0, model, t) == 0.0
-    assert noise.conditional_moment(3, 0.0, model, t) == 0.0
-    assert abs(noise.conditional_moment(2, 0.0, model, t) - sigma2) < 1e-12
-    assert abs(noise.conditional_moment(4, 0.0, model, t) - 3 * sigma2**2) < 1e-12
-    assert abs(noise.conditional_moment(6, 0.0, model, t) - 15 * sigma2**3) < 1e-12
+    assert oracles.conditional_moment(1, 0.0, model, t) == 0.0
+    assert oracles.conditional_moment(3, 0.0, model, t) == 0.0
+    assert abs(oracles.conditional_moment(2, 0.0, model, t) - sigma2) < 1e-12
+    assert abs(oracles.conditional_moment(4, 0.0, model, t) - 3 * sigma2**2) < 1e-12
+    assert abs(oracles.conditional_moment(6, 0.0, model, t) - 15 * sigma2**3) < 1e-12
 
 
 def test_conditional_moment_k_limit():
@@ -160,18 +162,18 @@ def test_conditional_moment_k_limit():
     tiny = noise.ou_noise(g, 1e-9)
     for m in range(1, 13):
         want = gaussian_power_moment(X0, g * math.sqrt(t), m)
-        got = noise.conditional_moment(m, X0, tiny, t)
+        got = oracles.conditional_moment(m, X0, tiny, t)
         assert abs(got - want) <= 1e-6 * max(1.0, abs(want))
 
 
 def test_conditional_moment_guards():
     model = noise.ou_noise(0.2, 0.1)
     with pytest.raises(ValueError):
-        noise.conditional_moment(-1, 0.0, model, 1.0)
+        oracles.conditional_moment(-1, 0.0, model, 1.0)
     with pytest.raises(ValueError):
-        noise.conditional_moment(13, 0.0, model, 1.0)
+        oracles.conditional_moment(13, 0.0, model, 1.0)
     with pytest.raises(ValueError):
-        noise.conditional_moment(2, 0.0, noise.white_noise(0.2), 1.0)
+        oracles.conditional_moment(2, 0.0, noise.white_noise(0.2), 1.0)
 
 
 def test_draw_initial():

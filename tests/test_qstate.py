@@ -11,7 +11,6 @@ def test_pauli_algebra():
     assert np.allclose(Z @ Z, I)
     assert np.allclose(X @ Y, 1j * Z)
     assert np.allclose(qstate.commutator(X, Y), 2j * Z)
-    assert np.allclose(qstate.commutator(X, Y, anti=True), np.zeros((2, 2)))
 
 
 def test_proj_is_idempotent():

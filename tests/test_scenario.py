@@ -5,6 +5,8 @@ import pytest
 
 from sselab import laws, magnus, noise, qstate, scenario
 
+import oracles
+
 
 def minimal_cfg(**over):
     cfg = {
@@ -149,7 +151,7 @@ def test_scenario_law_wrapping():
                        np.kron(qstate.SIGMA_X, np.eye(2)) + np.kron(np.eye(2), qstate.SIGMA_X))
     law2 = scenario.scenario_law(scn2)
     assert law2.s0 == pytest.approx(0.0)
-    want = laws.two_qubit_law(0.0, 1.0, "pauli")
+    want = oracles.two_qubit_law(0.0, 1.0, "pauli")
     grid = np.linspace(0.0, 2 * np.pi, 257)
     assert np.max(np.abs(law2.series.evaluate(grid) - want.evaluate(grid))) < 1e-13
 

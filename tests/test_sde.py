@@ -8,6 +8,8 @@ import scipy.linalg
 
 from sselab import laws, noise, qstate, sde
 
+import oracles
+
 ZERO_H = np.zeros((2, 2), dtype=complex)
 _I2 = np.eye(2)
 KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -291,6 +293,21 @@ def test_diagonal_kernel_matches_step_loop(case, scheme, renormalize):
                 Y = step(Y, H, S, model, cfg, stream)
 
 
+def test_all_inert_run_keeps_its_state_exactly():
+    """The singlet under the collective X, with H = 0, lies wholly in the
+    inert class, the only one occupied: its step factor is exactly 1, so
+    2e4 unnormalized steps leave F and the norm at 1 to round-off of the
+    initial overlap, not compounded step by step."""
+    H, S, phi0, _, _ = COMMUTING["singlet"]
+    cfg = sde.SimConfig(dt=0.002, T=40.0, n_paths=2, master_seed=1,
+                        renormalize=False, record_every=20000)
+    res = sde.simulate_paths(H, S, noise.ou_noise(0.2, 0.3, init=noise.STATIONARY),
+                             qstate.as_state(phi0), cfg)
+    assert res.kernel == "diagonal" and res.amplitudes == 1
+    assert np.max(np.abs(1.0 - res.fidelities)) <= 1e-15
+    assert res.max_norm_drift <= 1e-15
+
+
 def test_noncommuting_run_takes_the_dense_kernel():
     # H = X, S = Z: no basis makes the step diagonal.  A commutator of 1e-9
     # is not round-off either.
@@ -367,7 +384,7 @@ def test_target_evolution():
 def test_simulate_paths_pathwise_law_identity():
     """Every path's fidelity equals the law at that path's increment."""
     model = noise.ou_noise(0.2, 0.1)
-    law = laws.pauli_law(0.0)  # <X> = 0 for |0>
+    law = oracles.pauli_law(0.0)  # <X> = 0 for |0>
     cfg = sde.SimConfig(dt=1e-3, T=1.0, n_paths=60, master_seed=4, record_every=1000)
     res = sde.simulate_paths(ZERO_H, qstate.SIGMA_X, model, KET0, cfg)
     dx = res.terminal_x - res.initial_x
@@ -377,7 +394,7 @@ def test_simulate_paths_pathwise_law_identity():
 
 def test_simulate_paths_mean_against_series():
     model = noise.white_noise(0.3)
-    law = laws.pauli_law(0.0)
+    law = oracles.pauli_law(0.0)
     cfg = sde.SimConfig(dt=1e-3, T=2.0, n_paths=500, master_seed=21, record_every=200)
     res = sde.simulate_paths(ZERO_H, qstate.SIGMA_X, model, KET0, cfg)
     for j in range(1, len(res.times)):
