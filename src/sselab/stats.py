@@ -9,9 +9,9 @@ def ks_distance(a, b):
     xb = np.sort(np.asarray(b, dtype=float), kind="stable")
     if len(xa) == 0 or len(xb) == 0:
         raise ValueError("need non-empty samples")
-    if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(xb))):
-        raise ValueError("samples must be finite")
     pts = np.concatenate([xa, xb])
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("samples must be finite")
     fa = np.searchsorted(xa, pts, side="right")
     fb = np.searchsorted(xb, pts, side="right")
     return float(np.abs(fa / len(xa) - fb / len(xb)).max())
