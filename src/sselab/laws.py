@@ -14,7 +14,7 @@ projection, two-qubit collective and product-state couplings are its
 special cases; the test suite keeps them as oracles.  Because Delta X
 is Gaussian, means are exact via the characteristic function
 (`noise.expected_cos`) and second moments via series self-convolution;
-nothing here involves quadrature or truncation.
+nothing here involves quadrature, truncation or sampling.
 """
 
 from dataclasses import dataclass
@@ -119,14 +119,3 @@ def series_mean_variance(law, model, t):
     second = sum(c * noise_mod.expected_cos(m, model, t) for m, c in squared.terms)
     return mean, second - mean * mean
 
-
-def sample_distribution(law, model, t, n, stream):
-    """Draw n exact fidelity samples: Delta X ~ N(0, v(t)), F = law(Delta X).
-
-    No path integration; cost O(n).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    v = noise_mod.increment_variance(model, t)
-    dx = np.sqrt(v) * stream.standard_normal(n)
-    return law.evaluate(dx)

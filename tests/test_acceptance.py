@@ -122,9 +122,10 @@ def test_criterion_03_distribution_slices(tmp_path):
     scn = scenario.resolve(cfg, label="fig4")
     result = scenario.run_scenario(scn)
     failures = []
-    for t, (mc, law_samples) in sorted(result.slice_samples.items()):
-        assert len(mc) == 2000 and len(law_samples) == 2000
-        ks = stats.ks_distance(mc, law_samples)
+    # each slice against the exact law, at LAW_QUANTILES normal quantiles of Delta X
+    for t, (mc, reference) in sorted(result.slice_samples.items()):
+        assert len(mc) == 2000 and len(reference) == scenario.LAW_QUANTILES
+        ks = stats.ks_distance(mc, reference)
         print(f"criterion 3: t={t:g} KS={ks:.4f}")
         if ks > 0.05:
             failures.append(f"t={t:g}: KS {ks:.4f} > 0.05")

@@ -65,7 +65,8 @@ def test_run_config_file(tmp_path, capsys):
     assert diag["n_paths"] == diag["n_effective"] == 40 and diag["aborted"] == []
     assert 0 <= diag["max_norm_drift"] < 1e-3 and 0 <= diag["max_range_violation"] < 1e-6
     assert diag["sde_kernel"] == "diagonal" and diag["sde_amplitudes"] == 2
-    assert not {"epsilon_sq", "magnus_out_of_range", "closure_imag_residue"} & set(diag)
+    assert not {"epsilon_sq", "check_window_end", "magnus_out_of_range",
+                "closure_imag_residue"} & set(diag)
 
 
 def test_run_json_names_aborted_paths(tmp_path, capsys):
@@ -100,6 +101,7 @@ def test_run_json_records_approximation_diagnostics(tmp_path):
     diag = json.loads((tmp_path / "nc" / "run.json").read_text())["diagnostics"]
     rows = np.loadtxt(tmp_path / "nc" / "summary.csv", delimiter=",", skiprows=1)
     assert diag["epsilon_sq"] == pytest.approx(0.04)
+    assert diag["check_window_end"] == 5.0  # check_run's 5/alpha, at alpha = 1
     assert diag["magnus_out_of_range"] == np.count_nonzero(rows[:, 1] > 1) == 5
     assert diag["magnus_assumed_start"] == "stationary"
     assert diag["sde_kernel"] == "dense" and diag["sde_amplitudes"] == 2
@@ -108,6 +110,7 @@ def test_run_json_records_approximation_diagnostics(tmp_path):
     assert cli.main(["run", write_config(tmp_path, text=white, out=tmp_path / "wn")]) == 0
     diag = json.loads((tmp_path / "wn" / "run.json").read_text())["diagnostics"]
     assert diag["epsilon_sq"] == pytest.approx(0.04) and "magnus_out_of_range" not in diag
+    assert diag["check_window_end"] == 5.0
     assert "magnus_assumed_start" not in diag
 
     assert cli.main(["run", write_config(tmp_path, text=APPROX_INI, out=tmp_path / "ap")]) == 0
@@ -385,11 +388,13 @@ NONCOMMUTING_INI = TINY_INI.replace("kind = pauli", "kind = noncommuting").repla
     "noise_op = X", "noise_op = Z\nhamiltonian = X").replace("n_paths = 40", "n_paths = 2")
 
 # Runs in a fresh interpreter: this process has loaded scipy already.
+# Prints the scipy modules loaded, then whether statistics was.
 COLD_START = """import sys
 from sselab import cli
 for path in sys.argv[1:]:
     assert cli.main(["run", path]) == 0, path
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print("statistics" in sys.modules)
 """
 # Runs with a commuting drive, the closure scan and OU Magnus means.
 NO_SCIPY_INIS = {
@@ -407,7 +412,7 @@ NO_SCIPY_INIS = {
 
 
 def _cold_run(tmp_path, inis):
-    """Scipy modules loaded by running `inis` in a fresh interpreter."""
+    """The last lines COLD_START prints after running `inis` in a fresh interpreter."""
     paths = []
     for name, text in inis.items():
         path = tmp_path / f"{name}.ini"
@@ -419,16 +424,24 @@ def _cold_run(tmp_path, inis):
         env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1]
+    return proc.stdout.splitlines()[-2:]
 
 
 def test_commuting_runs_never_load_scipy_linalg(tmp_path):
-    assert _cold_run(tmp_path, NO_SCIPY_INIS) == "[]"
+    assert _cold_run(tmp_path, NO_SCIPY_INIS)[0] == "[]"
 
 
 def test_white_noise_magnus_run_never_loads_scipy_from_a_cold_start(tmp_path):
     # fig5's shape: the white-noise Magnus mean needs numpy's eigh alone
-    assert _cold_run(tmp_path, {"noncommuting_white": NONCOMMUTING_INI}) == "[]"
+    assert _cold_run(tmp_path, {"noncommuting_white": NONCOMMUTING_INI})[0] == "[]"
+
+
+def test_only_distribution_runs_load_statistics(tmp_path):
+    # its import takes 4-5 ms cold, which every run's start-up would pay
+    others = {name: ini for name, ini in NO_SCIPY_INIS.items() if name != "distribution"}
+    assert _cold_run(tmp_path, others)[1] == "False"
+    dist = {"distribution": NO_SCIPY_INIS["distribution"]}
+    assert _cold_run(tmp_path, dist)[1] == "True"
 
 
 def test_undecodable_config_file_is_a_config_error(tmp_path, capsys):
@@ -538,6 +551,7 @@ def test_resolve_fuzz_raises_only_config_error(cfg):
     assert sim.n_paths * (sim.n_steps // sim.record_every + 1) <= scenario.MAX_RECORDED
     if scn.name == "approx-order":
         assert (scn.scan_T or sim.T) / approx.DEFAULT_DT <= scenario.MAX_CLOSURE_STEPS
+        assert scn.model.init == "calibrated"  # the closures assume X0 = 0
     # only the Magnus route takes [H, S] != 0, and it divides by alpha
     if not scn.commuting():
         assert scn.alpha > 0 and scn.name not in ("approx-order", "distribution")
@@ -580,7 +594,16 @@ def test_distribution_run_emits_slice_files(tmp_path):
     assert (tmp_path / "dist" / "distribution_t0.1.csv").exists()
     assert (tmp_path / "dist" / "distribution_t0.5.csv").exists()
     header = (tmp_path / "dist" / "distribution_t0.5.csv").read_text().splitlines()[0]
-    assert header == "mc_F,law_F"
+    assert header == "mc_F"
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_small_distribution_run_passes_its_check(tmp_path, capsys, seed):
+    # the KS bound scales with the path count: 0.183 at 100 paths
+    out = str(tmp_path / "fig4")
+    assert cli.main(["run", "fig4", "--paths", "100", "--seed", str(seed),
+                     "--out", out, "--check"]) == 0, capsys.readouterr().err
+    assert "checks passed" in capsys.readouterr().out
 
 
 def test_approx_order_run_emits_closure_table(tmp_path):

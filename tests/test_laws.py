@@ -215,19 +215,6 @@ def test_series_mean_printed_forms():
     assert abs(var - (m2 - m * m)) < 1e-14
 
 
-def test_sample_distribution_statistics():
-    model = noise.ou_noise(0.2, 0.1, init=noise.STATIONARY)
-    law = oracles.projection_law(1 / math.sqrt(2))
-    t = 3.0
-    n = 200_000
-    samples = laws.sample_distribution(law, model, t, n, np.random.default_rng(99))
-    assert samples.shape == (n,)
-    assert np.all((samples >= 0.0) & (samples <= 1.0))
-    m, v = laws.series_mean_variance(law, model, t)
-    assert abs(samples.mean() - m) < 5 * math.sqrt(v / n)
-    assert abs(samples.var() - v) / v < 0.03
-
-
 def random_state(rng, d):
     psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return psi / np.linalg.norm(psi)

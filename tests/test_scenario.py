@@ -1,4 +1,6 @@
+import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -128,13 +130,21 @@ def test_distribution_needs_slices():
     assert scn.t_slices == (0.1, 0.5)
 
 
-def test_distribution_slices_draw_their_own_law_samples(tmp_path):
-    cfg = minimal_cfg(scenario={"kind": "distribution"},
-                      output={"t_slices": "0.1,0.5", "dir": str(tmp_path)})
-    result = scenario.run_scenario(scenario.resolve(cfg))
-    (_, law_a), (_, law_b) = (result.slice_samples[t] for t in (0.1, 0.5))
-    # F falls with |Delta X| here, so one normal sequence would give one ranking
-    assert not np.array_equal(np.argsort(law_a), np.argsort(law_b))
+def test_slice_reference_is_the_exact_law():
+    # F = cos^2(Delta X) under S = X on |0>, and at sd 0.3 |Delta X| stays
+    # below pi/2 but for a 2e-7 tail, so P(F <= f) = erfc(arccos(sqrt f) / (sd sqrt 2))
+    model = noise.white_noise(0.3)
+    law = laws.spectral_law(qstate.SIGMA_X, scenario.parse_state("0"))
+    (ref,) = scenario.law_references(law, model, [1.0])
+    assert ref.shape == (scenario.LAW_QUANTILES,)
+    f = np.sort(ref)
+    exact = np.array([math.erfc(math.acos(math.sqrt(x)) / (0.3 * math.sqrt(2))) for x in f])
+    n = len(f)
+    ks = max(np.max(np.arange(1, n + 1) / n - exact), np.max(exact - np.arange(n) / n))
+    assert ks < 2.0 / n
+    # the DKW bound at family-wise 1%: 0.183 at 100 paths and 0.041 at 2000 over 4 slices
+    assert scenario.ks_bound(100, 4) == pytest.approx(0.1828, abs=1e-4)
+    assert scenario.ks_bound(2000, 4) == pytest.approx(0.0409, abs=1e-4)
 
 
 def test_scenario_law_wrapping():
@@ -243,6 +253,45 @@ def test_check_run_passes_a_pauli_eigenstate(tmp_path, n_paths):
         result = scenario.run_scenario(scn)
         assert np.all(np.abs(result.sim.summary.mean_f - 1.0) < 1e-12)
         assert result.check_failures == ()
+
+
+def test_approx_order_rejects_a_stationary_start():
+    # the closures start from X0 = 0; the exact column would not
+    cfg = minimal_cfg(scenario={"kind": "approx-order"},
+                      noise={"kind": "ou", "gamma": "0.2", "k": "0.1", "init": "stationary"})
+    with pytest.raises(scenario.ConfigError, match="init = calibrated"):
+        scenario.resolve(cfg)
+    cfg["noise"]["init"] = "calibrated"
+    assert scenario.resolve(cfg).model.init == noise.CALIBRATED
+
+
+def test_check_run_fails_a_distribution_with_too_much_noise(tmp_path, monkeypatch):
+    # fig4 at 300 paths, with the MC run at 1.2 gamma: its slices are wider
+    # than the law's, and the KS gate sees it (at seeds 1-10, 10 of 10 runs)
+    real = scenario.sde_mod.simulate_paths
+    monkeypatch.setattr(scenario.sde_mod, "simulate_paths",
+                        lambda H, S, model, phi0, cfg: real(
+                            H, S, replace(model, gamma=1.2 * model.gamma), phi0, cfg))
+    cfg = {s: dict(e) for s, e in scenario.PRESETS["fig4"].items()}
+    cfg["sim"].update(n_paths="300", master_seed="1")
+    cfg["output"]["dir"] = str(tmp_path / "out")
+    result = scenario.run_scenario(scenario.resolve(cfg))
+    ks_failures = [f for f in result.check_failures if f.startswith("KS distance")]
+    assert ks_failures and all(f"> {scenario.ks_bound(300, 4):.3f}" in f for f in ks_failures)
+
+
+def test_check_run_passes_an_eigenstate_distribution(tmp_path):
+    # |+> under S = X: the law is exactly F = 1, and the MC reads 1 - 7e-16,
+    # which a KS distance on the raw values puts at 1
+    scn = scenario.resolve(minimal_cfg(
+        scenario={"kind": "distribution", "state": "+"},
+        noise={"kind": "ou", "gamma": "0.2", "k": "0.1"},
+        sim={"t": "1.0", "n_paths": "50", "master_seed": "1"},
+        output={"dir": str(tmp_path / "out"), "t_slices": "0.5,1"}))
+    result = scenario.run_scenario(scn)
+    mc, reference = result.slice_samples[1.0]
+    assert np.all(reference == 1.0) and not np.all(mc == 1.0)
+    assert result.check_failures == ()
 
 
 def test_check_run_fails_an_mc_without_noise(tmp_path, monkeypatch):
