@@ -21,7 +21,8 @@ def asymptote(law, v):
 
 
 def main():
-    S = qstate.build_operator(("sum", ("tensor", "X", "I"), ("tensor", "I", "X")))
+    X, I = qstate.SIGMA_X, qstate.IDENTITY_2
+    S = np.kron(X, I) + np.kron(I, X)
     law00 = laws.spectral_law(S, np.array([1, 0, 0, 0], dtype=complex))
     lawghz = laws.spectral_law(S, np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2))
     print(f"{'k':>6} {'v_inf':>7} {'F(|00>)':>9} {'F(GHZ)':>9}  winner")

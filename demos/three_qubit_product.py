@@ -28,8 +28,8 @@ def main():
     print("factored harmonics:", [(m, round(c, 6)) for m, c in factored.terms])
 
     phi = np.kron(np.kron(phis[0], phis[1]), phis[2])
-    S = qstate.build_operator(("sum", ("tensor", "X", "I", "I"),
-                               ("tensor", "I", "X", "I"), ("tensor", "I", "I", "X")))
+    X, I = qstate.SIGMA_X, qstate.IDENTITY_2
+    S = np.kron(np.kron(X, I), I) + np.kron(np.kron(I, X), I) + np.kron(np.kron(I, I), X)
     joint = laws.spectral_law(S, phi)
 
     grid = np.linspace(0, 2 * math.pi, 49)

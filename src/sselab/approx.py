@@ -49,7 +49,6 @@ _B_ROW = np.array([2.0, -2.0])
 @dataclass(frozen=True)
 class ClosureSystem:
     """x' = M(t) x with M(t) = a + c(t) B."""
-    order: int
     a: np.ndarray
     c_fn: object        # time array -> c(t), the same shape
     v0: np.ndarray
@@ -74,7 +73,7 @@ def first_order_system(gamma, k, s0):
         [0, 0, -(k + 2 * g2)],
     ], dtype=complex)
     return ClosureSystem(
-        order=1, a=a, v0=np.array([1.0, s0**2, 0.0], dtype=complex),
+        a=a, v0=np.array([1.0, s0**2, 0.0], dtype=complex),
         c_fn=lambda t: k * noise_mod.increment_variance(model, t) - g2,
     )
 
@@ -91,7 +90,7 @@ def second_order_system(gamma, k, s0):
         [0, 0, 2 * g2, 0, 0, -(3 * k + 2 * g2)],
     ], dtype=complex)
     return ClosureSystem(
-        order=2, a=a, v0=np.array([1.0, s0**2, 0.0, 0.0, 0.0, 0.0], dtype=complex),
+        a=a, v0=np.array([1.0, s0**2, 0.0, 0.0, 0.0, 0.0], dtype=complex),
         c_fn=lambda t: k * noise_mod.increment_variance(model, t) - 2 * g2,
     )
 

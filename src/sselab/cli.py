@@ -84,26 +84,11 @@ def cmd_run(args):
 
 
 def cmd_presets(_args):
-    for name in sorted(scenario_mod.PRESETS):
-        cfg = scenario_mod.PRESETS[name]
-        scn_keys = cfg["scenario"]
-        noise = cfg["noise"]
-        sim = cfg["sim"]
-        bits = [f"kind={scn_keys['kind']}", f"state={scn_keys.get('state', '0')}"]
-        for key in ("noise_op", "base_op", "hamiltonian"):
-            if key in scn_keys:
-                bits.append(f"{key}={scn_keys[key]}")
-        bits.append(
-            f"noise={noise['kind']}(gamma={noise['gamma']}"
-            + (f", k={noise['k']}" if "k" in noise else "")
-            + (f", {noise['init']}" if "init" in noise else "")
-            + ")"
-        )
-        bits.append(
-            f"paths={sim['n_paths']} T={sim['t']} dt={sim['dt']} "
-            f"seed={sim['master_seed']}"
-        )
-        print(f"{name:7s} " + "  ".join(bits))
+    """One line per preset: every key but output.dir, as section.key=value."""
+    for name, cfg in sorted(scenario_mod.PRESETS.items()):
+        bits = [f"{section}.{key}={val}" for section, entries in cfg.items()
+                for key, val in entries.items() if (section, key) != ("output", "dir")]
+        print(f"{name:7s} " + " ".join(bits))
     return 0
 
 

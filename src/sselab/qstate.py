@@ -23,10 +23,6 @@ _NAMED = {
 }
 
 
-class OperatorSpecError(ValueError):
-    """Raised for an unknown operator spec or mismatched tensor dims."""
-
-
 def as_state(amplitudes):
     """Validate a pure state: 1-d complex, unit norm within 1e-10."""
     phi = np.asarray(amplitudes, dtype=complex).reshape(-1)
@@ -46,47 +42,12 @@ def control_hamiltonian(omega, phase, delta):
     return omega * coup + 0.5 * delta * PROJ_1
 
 
-def build_operator(spec):
-    """Build a Hermitian operator from a small spec grammar.
-
-    Accepted specs:
-      - "I", "X", "Y", "Z": single-qubit Pauli / identity
-      - "P1": the |1><1| projector
-      - ("control", omega, phase, delta): single-qubit drive Hamiltonian
-      - ("tensor", s1, s2, ...): Kronecker product of sub-specs
-      - ("sum", s1, s2, ...): sum of equal-dimension sub-specs
-
-    Returns a complex ndarray; raises OperatorSpecError for anything else.
-    """
-    if isinstance(spec, str):
-        try:
-            return _NAMED[spec].copy()
-        except KeyError:
-            raise OperatorSpecError(f"unknown operator name {spec!r}") from None
-    if isinstance(spec, (tuple, list)) and spec:
-        head = spec[0]
-        if head == "control":
-            if len(spec) != 4:
-                raise OperatorSpecError("control spec needs (omega, phase, delta)")
-            return control_hamiltonian(*spec[1:])
-        if head == "tensor":
-            parts = [build_operator(s) for s in spec[1:]]
-            if not parts:
-                raise OperatorSpecError("empty tensor spec")
-            out = parts[0]
-            for p in parts[1:]:
-                out = np.kron(out, p)
-            return out
-        if head == "sum":
-            parts = [build_operator(s) for s in spec[1:]]
-            if not parts:
-                raise OperatorSpecError("empty sum spec")
-            dims = {p.shape for p in parts}
-            if len(dims) != 1:
-                raise OperatorSpecError(f"sum of mismatched dims {sorted(dims)}")
-            return np.sum(parts, axis=0)
-        raise OperatorSpecError(f"unknown spec head {head!r}")
-    raise OperatorSpecError(f"cannot interpret operator spec {spec!r}")
+def named_operator(name):
+    """A fresh copy of the named operator: I, X, Y, Z or P1 (|1><1|)."""
+    try:
+        return _NAMED[name].copy()
+    except KeyError:
+        raise ValueError(f"unknown operator name {name!r}") from None
 
 
 def commutator(a, b):

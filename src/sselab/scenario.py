@@ -1,12 +1,13 @@
 """Scenario resolution and the figure-style run pipeline.
 
 A scenario bundles a noise model, operators, an initial state, and a
-simulation config.  The operators select the law: when [H, S] = 0
-(`Scenario.commuting`) a run takes its exact law from one place,
-`laws.spectral_law` of S and the state, a cosine series whose
-frequencies are the eigenvalue gaps of S; otherwise it takes the
-Magnus mean, with no closed variance.  The kind selects the outputs
-only, and names one of six:
+simulation config.  `resolve` builds H and S once, from named operators
+(I, X, Y, Z, P1) or, for H, a `control:omega,phase,delta` drive, and
+they select the law: when [H, S] = 0 it keeps as `Scenario.law` the
+exact law, `laws.spectral_law` of S and the state, a cosine series
+whose frequencies are the eigenvalue gaps of S; otherwise `law` is None
+and the run takes the Magnus mean, with no closed variance.  The kind
+selects the outputs only, and names one of six:
 
   pauli, projection, noncommuting  the summary alone
   twoqubit      the summary, with S the collective Q (x) I + I (x) Q
@@ -28,7 +29,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -93,49 +94,42 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
+    """What `resolve` decided, once per run: H and S, and law, their exact
+    law when max|[H, S]| <= 1e-12 or None when the run takes the Magnus
+    mean.  scan_T is the closure scan length: scan_t, or t for an
+    approx-order run whose scan_t is 0, and 0 for the other kinds."""
     name: str
     label: str
     model: noise_mod.NoiseModel
     state: np.ndarray
     sim: sde_mod.SimConfig
     out_dir: str
-    noise_spec: str = "X"
+    H: np.ndarray
+    S: np.ndarray             # for twoqubit runs the collective Q (x) I + I (x) Q of base_op Q
+    law: laws_mod.ScenarioLaw = None
     alpha: float = 1.0
     t_slices: tuple = ()
     scan_T: float = 0.0
     raw: dict = None
     resolve_s: float = 0.0    # seconds resolve took; goes to timings.json
-    ops: tuple = field(default=None, compare=False, repr=False)  # (H, S), see _build_ops
-
-    def hamiltonian(self):
-        return self.ops[0]
-
-    def noise_operator(self):
-        """S; for twoqubit runs the collective Q (x) I + I (x) Q of base_op Q."""
-        return self.ops[1]
-
-    def commuting(self):
-        """Whether max|[H, S]| <= 1e-12: the exact law holds, else the Magnus mean."""
-        return np.abs(qstate.commutator(*self.ops)).max() <= 1e-12
 
 
-def _build_ops(kind, noise_spec, h_spec, alpha, d):
-    """(H, S) from the specs, built once per run by `resolve`."""
+def _build_ops(kind, op_name, h_spec, alpha, d):
+    """(H, S) from the config: H is alpha times a named operator or a
+    `control:omega,phase,delta` drive (or zero for "none"), S the named
+    operator, or for twoqubit runs its collective Q (x) I + I (x) Q."""
     H = np.zeros((d, d), dtype=complex)
-    if h_spec != "none":
-        H = alpha * qstate.build_operator(_parse_op_spec(h_spec))
-    if kind == "twoqubit":
-        noise_spec = ("sum", ("tensor", noise_spec, "I"), ("tensor", "I", noise_spec))
-    return H, qstate.build_operator(noise_spec)
-
-
-def _parse_op_spec(text):
-    if text.startswith("control:"):
-        parts = text[len("control:"):].split(",")
+    if h_spec.startswith("control:"):
+        parts = h_spec[len("control:"):].split(",")
         if len(parts) != 3:
             raise ConfigError("control spec needs omega,phase,delta")
-        return ("control",) + tuple(float(p) for p in parts)
-    return text
+        H = alpha * qstate.control_hamiltonian(*map(float, parts))
+    elif h_spec != "none":
+        H = alpha * qstate.named_operator(h_spec)
+    S = qstate.named_operator(op_name)
+    if kind == "twoqubit":
+        S = np.kron(S, qstate.IDENTITY_2) + np.kron(qstate.IDENTITY_2, S)
+    return H, S
 
 
 def parse_state(text):
@@ -198,7 +192,9 @@ def resolve(cfg, label="custom"):
             for p in _get(cfg, "output", "t_slices", "").split(",")
             if p.strip()
         )
-        scan_T = float(_get(cfg, "output", "scan_t", "0"))
+        # approx-order runs scan the closures to scan_t, or to t when scan_t is 0
+        scan_T = float(_get(cfg, "output", "scan_t", "0")) or (
+            sim.T if kind == "approx-order" else 0.0)
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:
@@ -212,9 +208,9 @@ def resolve(cfg, label="custom"):
         op_spec = _get(cfg, "scenario", "noise_op", "X")
     h_spec = _get(cfg, "scenario", "hamiltonian", "none")
     try:
-        # an infinite alpha makes inf * 0 entries here; _validate rejects it
+        # an infinite alpha makes inf * 0 entries here; _check_operators rejects it
         with np.errstate(invalid="ignore"):
-            ops = _build_ops(kind, op_spec, h_spec, alpha, state.shape[0])
+            H, S = _build_ops(kind, op_spec, h_spec, alpha, state.shape[0])
     except ValueError as exc:  # an unknown operator name or a bad control number
         raise ConfigError(str(exc)) from exc
 
@@ -225,13 +221,16 @@ def resolve(cfg, label="custom"):
         state=state,
         sim=sim,
         out_dir=_get(cfg, "output", "dir", f"runs/{label}"),
-        noise_spec=op_spec,
+        H=H,
+        S=S,
         alpha=alpha,
         t_slices=slices,
         scan_T=scan_T,
         raw=cfg,
-        ops=ops,
     )
+    _check_operators(scn)
+    if np.abs(qstate.commutator(H, S)).max() <= 1e-12:
+        scn = replace(scn, law=scenario_law(scn))
     _validate(scn)
     _check_out_dir(scn.out_dir)
     _check_budget(scn)
@@ -239,26 +238,24 @@ def resolve(cfg, label="custom"):
     return replace(scn, resolve_s=time.perf_counter() - start)
 
 
-def _validate(scn):
-    # approx-order runs scan the closures to scan_t, or to t when scan_t is 0
-    scan = scn.scan_T or (scn.sim.T if scn.name == "approx-order" else 0.0)
-    ratio = scan / approx_mod.DEFAULT_DT
-    if not 0 <= scan < math.inf or abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-        raise ConfigError(
-            f"the closure scan length must be a non-negative multiple of "
-            f"{approx_mod.DEFAULT_DT:g}, got {scan!r}"
-        )
+def _check_operators(scn):
+    """Reject a non-finite alpha, and H and S that are not finite d x d
+    matrices on the d-dim state: what the route's commutator needs."""
     if not math.isfinite(scn.alpha):
         raise ConfigError(f"alpha must be finite, got {scn.alpha!r}")
-    s_op, h = scn.noise_operator(), scn.hamiltonian()
     d = scn.state.shape[0]
-    if s_op.shape != (d, d) or h.shape != (d, d) or not np.isfinite(h).all():
+    if scn.S.shape != (d, d) or scn.H.shape != (d, d) or not np.isfinite(scn.H).all():
         raise ConfigError(f"the operators must be finite and act on the {d}-dim state")
-    if scn.name == "approx-order" and not np.allclose(s_op @ s_op, np.eye(d), atol=1e-12):
-        raise ConfigError(f"approx-order scenarios need S^2 = I, not noise_op {scn.noise_spec!r}")
+
+
+def _validate(scn):
+    d = scn.state.shape[0]
+    if scn.name == "approx-order" and not np.allclose(scn.S @ scn.S, np.eye(d), atol=1e-12):
+        raise ConfigError(f"approx-order scenarios need S^2 = I, not noise_op "
+                          f"{_get(scn.raw, 'scenario', 'noise_op', 'X')!r}")
     if scn.name == "approx-order" and scn.model.init != noise_mod.CALIBRATED:
         raise ConfigError("approx-order needs init = calibrated: the closures assume X0 = 0")
-    if not scn.commuting():
+    if scn.law is None:
         if scn.name in ("approx-order", "distribution"):
             raise ConfigError(f"{scn.name} scenarios need a hamiltonian that commutes "
                               "with the noise operator")
@@ -287,13 +284,18 @@ def _check_out_dir(path):
 
 
 def _check_budget(scn):
-    """Reject a run that asks for more work than the MAX_* ceilings."""
+    """Reject a closure scan off the closure's step grid, and a run that
+    asks for more work than the MAX_* ceilings."""
+    ratio = scn.scan_T / approx_mod.DEFAULT_DT
+    if not 0 <= scn.scan_T < math.inf or abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
+        raise ConfigError(
+            f"the closure scan length must be a non-negative multiple of "
+            f"{approx_mod.DEFAULT_DT:g}, got {scn.scan_T!r}"
+        )
     sim = scn.sim
     n_steps = sim.n_steps
     n_rec = n_steps // sim.record_every + 1
-    scan_steps = 0
-    if scn.name == "approx-order":
-        scan_steps = round((scn.scan_T or sim.T) / approx_mod.DEFAULT_DT)
+    scan_steps = round(ratio)
     for size, ceiling, what in (
         (sim.n_paths * n_steps, MAX_PATH_STEPS,
          f"n_paths x n_steps = {sim.n_paths} x {n_steps} path-steps exceed MAX_PATH_STEPS"),
@@ -310,10 +312,7 @@ def _check_step_map(scn):
     """Reject values so large that the SDE step itself overflows, and an
     OU step that amplifies the noise (|x'/x| > 1, i.e. k*dt > 2)."""
     with np.errstate(all="ignore"):
-        M, (ax, an) = sde_mod._step_map(
-            scn.hamiltonian(), scn.noise_operator(), scn.model,
-            scn.sim.scheme, scn.sim.dt,
-        )
+        M, (ax, an) = sde_mod._step_map(scn.H, scn.S, scn.model, scn.sim.scheme, scn.sim.dt)
         finite = np.isfinite(M).all() and math.isfinite(ax) and math.isfinite(an)
     g, k, a, dt = scn.model.gamma, scn.model.k, scn.alpha, scn.sim.dt
     if not finite:
@@ -325,11 +324,11 @@ def _check_step_map(scn):
 
 
 def scenario_law(scn):
-    """The exact fidelity law of a commuting scenario, as a ScenarioLaw
-    with s0 = <S> (which only the approx-order closures read)."""
-    s_op = scn.noise_operator()
-    s0 = qstate.expect_value(s_op, scn.state).real
-    return laws_mod.ScenarioLaw(laws_mod.spectral_law(s_op, scn.state), s0)
+    """The exact fidelity law of S on the state, as a ScenarioLaw with
+    s0 = <S> (which only the approx-order closures read); `resolve` keeps
+    it as scn.law when H and S commute."""
+    s0 = qstate.expect_value(scn.S, scn.state).real
+    return laws_mod.ScenarioLaw(laws_mod.spectral_law(scn.S, scn.state), s0)
 
 
 def analytic_series(scn, times):
@@ -341,13 +340,13 @@ def analytic_series(scn, times):
     under OU noise, how many means left [0, 1] (NaN counts) and the
     stationary start the mean assumes (a warning on a calibrated start)."""
     times = np.asarray(times, dtype=float)
-    if not scn.commuting():
+    if scn.law is None:
         eps_sq = scn.model.gamma**2 / scn.alpha
         if eps_sq >= magnus_mod.EPS_SQ_WARN:
             warnings.warn(f"eps^2 = gamma^2/alpha = {eps_sq:.3g} is not small; "
                           "the Magnus mean is a weak-noise expansion", stacklevel=2)
         diagnostics = {"epsilon_sq": eps_sq, "check_window_end": 5.0 / scn.alpha}
-        args = (scn.hamiltonian(), scn.noise_operator(), scn.model, scn.state)
+        args = (scn.H, scn.S, scn.model, scn.state)
         if scn.model.kind == noise_mod.WHITE:
             mean = magnus_mod.wn_mean_fidelity(*args, times)
         else:
@@ -358,7 +357,7 @@ def analytic_series(scn, times):
                 warnings.warn(f"the OU Magnus mean assumes a stationary start; this run "
                               f"starts {scn.model.init}", stacklevel=2)
         return mean, np.full(times.shape, np.nan), diagnostics
-    mean, var = laws_mod.series_mean_variance(scenario_law(scn).series, scn.model, times)
+    mean, var = laws_mod.series_mean_variance(scn.law.series, scn.model, times)
     return mean, var, {}
 
 
@@ -383,30 +382,28 @@ def run_scenario(scn):
     """
     clock = time.perf_counter
     marks = [clock()]
-    sim_result = sde_mod.simulate_paths(
-        scn.hamiltonian(), scn.noise_operator(), scn.model, scn.state, scn.sim)
+    sim_result = sde_mod.simulate_paths(scn.H, scn.S, scn.model, scn.state, scn.sim)
     marks.append(clock())
     times = sim_result.times
     mean, var, diagnostics = analytic_series(scn, times)
 
     slice_samples = {}
     if scn.name == "distribution":
-        refs = law_references(scenario_law(scn).series, scn.model, scn.t_slices)
+        refs = law_references(scn.law.series, scn.model, scn.t_slices)
         slice_samples = {t: (sim_result.fidelities[:, _slot_for(scn, t)], ref)
                          for t, ref in zip(scn.t_slices, refs)}
     marks.append(clock())
 
     closure = {}
     if scn.name == "approx-order":
-        law = scenario_law(scn)
-        scan_T = scn.scan_T or scn.sim.T
+        law = scn.law
         first = approx_mod.integrate_closure(
             approx_mod.first_order_system(scn.model.gamma, scn.model.k, abs(law.s0)),
-            scan_T,
+            scn.scan_T,
         )
         second = approx_mod.integrate_closure(
             approx_mod.second_order_system(scn.model.gamma, scn.model.k, abs(law.s0)),
-            scan_T,
+            scn.scan_T,
         )
         stride = max(1, int(round(0.05 / approx_mod.DEFAULT_DT)))
         ctimes = first.times[::stride]
@@ -538,7 +535,7 @@ def check_run(result):
     scn = result.scenario
     s = result.sim.summary
     ok = np.isfinite(result.analytic_mean) & np.isfinite(s.stderr_f)
-    if not scn.commuting():
+    if scn.law is None:
         window = ok & (s.times <= result.diagnostics["check_window_end"])
         gap = np.abs(s.mean_f[window] - result.analytic_mean[window])
         if gap.size and gap.max() > 0.02:

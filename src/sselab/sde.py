@@ -283,8 +283,7 @@ def _occupied_classes(V, lam, phi0):
     else u is None.  An inert class that is the only one occupied is
     stepped, with its column set to exactly (1, 0, ..., 0): the eigh
     basis leaves round-off of a few 1e-16 there, which a long run would
-    compound.  When nothing merges, drops or leaves, V and lam come back
-    as they are.
+    compound.
     """
     c0 = V.conj().T @ phi0
     L = lam[0].view(complex)
@@ -307,8 +306,6 @@ def _occupied_classes(V, lam, phi0):
     if inert is not None and len(classes) > 1:
         classes.remove(inert)
         u = direction(inert)
-    elif len(classes) == len(c0):
-        return V, lam, None
     Q = np.stack([direction(m) for m in classes], axis=1)
     lam = lam.view(complex)[..., [m[0] for m in classes]]
     if classes == [inert]:

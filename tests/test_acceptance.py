@@ -198,9 +198,9 @@ def test_criterion_05_projection_colored_vs_white(tmp_path):
     result = scenario.run_scenario(scn)
     failures = list(scenario.check_run(result))
 
-    law = scenario.scenario_law(scn)
+    law = scn.law
     # the weight on P1's S = 1 eigenspace, oracles.projection_law's s0^2
-    s0sq = qstate.expect_value(scn.noise_operator(), scn.state).real
+    s0sq = qstate.expect_value(scn.S, scn.state).real
     w = 2 * (1 - s0sq) * s0sq
     g, k = scn.model.gamma, scn.model.k
     # asymptotes: white noise loses every harmonic, OU keeps e^{-v_inf/2}

@@ -145,7 +145,7 @@ def test_noncommuting_operators_route_to_the_magnus_mean(tmp_path, case):
     assert diag["sde_kernel"] == "dense" and "epsilon_sq" in diag
     rows = np.loadtxt(out / "summary.csv", delimiter=",", skiprows=1)
     assert np.isnan(rows[:, 2]).all()
-    want = [lindblad_mean_fidelity(scn.hamiltonian(), scn.noise_operator(), 0.3,
+    want = [lindblad_mean_fidelity(scn.H, scn.S, 0.3,
                                    scn.state, t) for t in rows[:, 0]]
     assert np.max(np.abs(rows[:, 1] - want)) < 1e-3
 
@@ -287,6 +287,12 @@ BAD_VALUES = {
     "scan_t_off_grid": APPROX_INI.replace("[output]", "[output]\nscan_t = 0.0005"),
     "state_wrong_dim": TINY_INI.replace("state = 0", "state = 0,0,1"),
     "noise_op_unknown": TINY_INI.replace("noise_op = X", "noise_op = Q"),
+    # operators: H takes a named operator or a control: drive, S a name only
+    "hamiltonian_control_short": TINY_INI.replace(
+        "noise_op = X", "noise_op = X\nhamiltonian = control:1,0"),
+    "noise_op_control": TINY_INI.replace("noise_op = X", "noise_op = control:1,0,0"),
+    "base_op_unknown": TINY_INI.replace("kind = pauli", "kind = twoqubit").replace(
+        "state = 0", "state = 00").replace("noise_op = X", "base_op = Q"),
     "alpha_nan": TINY_INI.replace("kind = pauli", "kind = noncommuting").replace(
         "noise_op = X", "noise_op = Z\nhamiltonian = X\nalpha = nan"),
     "steps_overflow": TINY_INI.replace("dt = 0.01", "dt = 1e-300").replace(
@@ -321,6 +327,11 @@ BAD_VALUES = {
     "t_slices_not_read_by_pauli": TINY_INI.replace("[output]", "[output]\nt_slices = 0.1"),
     "scan_t_not_read_by_pauli": TINY_INI.replace("[output]", "[output]\nscan_t = 0.5"),
 }
+OPERATOR_ERRORS = {
+    "hamiltonian_control_short": "control spec needs omega,phase,delta",
+    "noise_op_control": "unknown operator name 'control:1,0,0'",
+    "base_op_unknown": "unknown operator name 'Q'",
+}
 
 
 @pytest.mark.filterwarnings("error")  # a rejected config prints no warning either
@@ -337,6 +348,8 @@ def test_bad_values_rejected_before_any_compute(tmp_path, capsys, case):
         assert "k*dt = 10 > 2" in err[0] and "by 41 per step" in err[0], err
     if case.startswith(("path_steps", "recorded_values", "closure_scan")):
         assert "exceed MAX_" in err[0], err
+    if case in OPERATOR_ERRORS:
+        assert err[0] == f"config error: {OPERATOR_ERRORS[case]}", err
     if "_not_read_by_" in case:
         key, kind = case.split("_not_read_by_")
         assert f"{key} is not read by {kind!r} scenarios" in err[0], err
@@ -550,10 +563,10 @@ def test_resolve_fuzz_raises_only_config_error(cfg):
     assert sim.n_paths * sim.n_steps <= scenario.MAX_PATH_STEPS
     assert sim.n_paths * (sim.n_steps // sim.record_every + 1) <= scenario.MAX_RECORDED
     if scn.name == "approx-order":
-        assert (scn.scan_T or sim.T) / approx.DEFAULT_DT <= scenario.MAX_CLOSURE_STEPS
+        assert scn.scan_T / approx.DEFAULT_DT <= scenario.MAX_CLOSURE_STEPS
         assert scn.model.init == "calibrated"  # the closures assume X0 = 0
     # only the Magnus route takes [H, S] != 0, and it divides by alpha
-    if not scn.commuting():
+    if scn.law is None:
         assert scn.alpha > 0 and scn.name not in ("approx-order", "distribution")
 
 

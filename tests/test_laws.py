@@ -243,8 +243,7 @@ def test_spectral_law_against_matrix_exponential():
 def test_spectral_law_matches_closed_forms():
     rng = np.random.default_rng(23)
     X, P, I = qstate.SIGMA_X, qstate.PROJ_1, np.eye(2)
-    S3 = qstate.build_operator(("sum", ("tensor", "P1", "I", "I"),
-                                ("tensor", "I", "X", "I"), ("tensor", "I", "I", "X")))
+    S3 = np.kron(np.kron(P, I), I) + np.kron(np.kron(I, X), I) + np.kron(np.kron(I, I), X)
 
     def gap(a, b):
         return np.max(np.abs(a.evaluate(GRID) - b.evaluate(GRID)))
@@ -271,7 +270,7 @@ def test_spectral_law_matches_closed_forms():
 
 def test_spectral_law_drops_round_off_weights():
     # GHZ under X (x) I + I (x) X: the pairs at gap 2 carry only round-off
-    S = qstate.build_operator(("sum", ("tensor", "X", "I"), ("tensor", "I", "X")))
+    S = np.kron(qstate.SIGMA_X, np.eye(2)) + np.kron(np.eye(2), qstate.SIGMA_X)
     ghz = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
     law = laws.spectral_law(S, ghz)
     want = oracles.two_qubit_law(0.0, 1.0, "pauli")
@@ -283,7 +282,7 @@ def test_spectral_law_drops_round_off_weights():
 
 def test_spectral_law_merges_integer_gaps():
     # fig7a: |00> under X (x) I + I (x) X has eigenvalues -2, 0, 0, 2
-    S = qstate.build_operator(("sum", ("tensor", "X", "I"), ("tensor", "I", "X")))
+    S = np.kron(qstate.SIGMA_X, np.eye(2)) + np.kron(np.eye(2), qstate.SIGMA_X)
     law = laws.spectral_law(S, np.array([1, 0, 0, 0], dtype=complex))
     assert [m for m, _ in law.terms] == [0, 2, 4]
     want = oracles.two_qubit_law(0.0, 0.0, "pauli")

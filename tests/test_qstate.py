@@ -42,26 +42,15 @@ def test_control_hamiltonian_matrix():
     assert np.allclose(h, h.conj().T)
 
 
-def test_build_operator_names_and_compositions():
-    assert np.allclose(qstate.build_operator("X"), qstate.SIGMA_X)
-    assert np.allclose(qstate.build_operator("P1"), qstate.PROJ_1)
-    two = qstate.build_operator(("tensor", "X", "I"))
-    assert np.allclose(two, np.kron(qstate.SIGMA_X, np.eye(2)))
-    s = qstate.build_operator(("sum", ("tensor", "X", "I"), ("tensor", "I", "X")))
-    assert np.allclose(s, np.kron(qstate.SIGMA_X, np.eye(2)) + np.kron(np.eye(2), qstate.SIGMA_X))
-    ctrl = qstate.build_operator(("control", 1.0, 0.0, 0.0))
-    assert np.allclose(ctrl, qstate.SIGMA_X)
-
-
-def test_build_operator_rejects_garbage():
-    with pytest.raises(qstate.OperatorSpecError):
-        qstate.build_operator("Q")
-    with pytest.raises(qstate.OperatorSpecError):
-        qstate.build_operator(("sum", "X", ("tensor", "X", "X")))
-    with pytest.raises(qstate.OperatorSpecError):
-        qstate.build_operator(("control", 1.0))
-    with pytest.raises(qstate.OperatorSpecError):
-        qstate.build_operator(42)
+def test_named_operator_lookup():
+    named = {"I": qstate.IDENTITY_2, "X": qstate.SIGMA_X, "Y": qstate.SIGMA_Y,
+             "Z": qstate.SIGMA_Z, "P1": qstate.PROJ_1}
+    for name, op in named.items():
+        got = qstate.named_operator(name)
+        assert np.array_equal(got, op) and got is not op  # a copy the caller may keep
+    for bad in ("Q", "x", "control:1,0,0", ""):
+        with pytest.raises(ValueError, match="unknown operator name"):
+            qstate.named_operator(bad)
 
 
 def test_expect_value():

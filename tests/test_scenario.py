@@ -42,8 +42,8 @@ def test_resolve_minimal():
     assert scn.label == "unit"
     assert scn.model.kind == noise.WHITE
     assert scn.sim.n_paths == 20
-    assert np.allclose(scn.noise_operator(), qstate.SIGMA_X)
-    assert np.allclose(scn.hamiltonian(), np.zeros((2, 2)))
+    assert np.array_equal(scn.S, qstate.SIGMA_X)
+    assert np.array_equal(scn.H, np.zeros((2, 2)))
 
 
 def test_resolve_rejects_unknown_keys():
@@ -61,7 +61,7 @@ def test_operator_class_enforcement():
     # a projection noise_op under any output kind takes its spectral law
     scn = scenario.resolve(minimal_cfg(scenario={"kind": "projection", "noise_op": "P1",
                                                  "state": "+"}))
-    assert scn.name == "projection" and scn.commuting()
+    assert scn.name == "projection" and scn.law is not None
     _, var, diagnostics = scenario.analytic_series(scn, [0.5])
     assert np.isfinite(var).all() and diagnostics == {}
     # but the closure scans need an involution
@@ -73,14 +73,14 @@ def test_operator_class_enforcement():
 def test_commutation_enforcement():
     # [Z, X] != 0: a pauli run takes the Magnus mean, with no closed variance
     scn = scenario.resolve(minimal_cfg(scenario={"hamiltonian": "Z"}))
-    assert scn.name == "pauli" and not scn.commuting()
+    assert scn.name == "pauli" and scn.law is None
     mean, var, diagnostics = scenario.analytic_series(scn, [0.0, 0.5])
     want = magnus.wn_mean_fidelity(qstate.SIGMA_Z, qstate.SIGMA_X, scn.model,
                                    scn.state, np.array([0.0, 0.5]))
     assert np.array_equal(mean, want)
     assert np.isnan(var).all() and "epsilon_sq" in diagnostics
     ok = scenario.resolve(minimal_cfg(scenario={"hamiltonian": "X"}))
-    assert np.allclose(ok.hamiltonian(), qstate.SIGMA_X) and ok.commuting()
+    assert np.array_equal(ok.H, qstate.SIGMA_X) and ok.law is not None
     # the kinds whose outputs need the exact law still reject [H, S] != 0
     for kind, extra in (("approx-order", {}), ("distribution", {"t_slices": "0.1"})):
         with pytest.raises(scenario.ConfigError, match="commutes"):
@@ -93,16 +93,16 @@ def test_noncommuting_validation():
     cfg = minimal_cfg(scenario={"kind": "noncommuting", "hamiltonian": "X",
                                 "noise_op": "X"})
     scn = scenario.resolve(cfg)
-    assert scn.commuting()
+    law = scn.law
+    assert law is not None
     mean, var, diagnostics = scenario.analytic_series(scn, [0.5])
-    law = scenario.scenario_law(scn)
     assert (mean, var) == laws.series_mean_variance(law.series, scn.model, np.array([0.5]))
     assert np.isfinite(var).all() and diagnostics == {}
     cfg = minimal_cfg(scenario={"kind": "noncommuting", "hamiltonian": "X",
                                 "noise_op": "Z", "alpha": "2.0"})
     scn = scenario.resolve(cfg)
-    assert np.array_equal(scn.hamiltonian(), 2.0 * qstate.SIGMA_X)
-    assert np.array_equal(scn.noise_operator(), qstate.SIGMA_Z)
+    assert np.array_equal(scn.H, 2.0 * qstate.SIGMA_X)
+    assert np.array_equal(scn.S, qstate.SIGMA_Z)
     # a non-commuting route divides by alpha
     with pytest.raises(scenario.ConfigError, match="alpha > 0"):
         scenario.resolve(minimal_cfg(scenario={"kind": "noncommuting", "hamiltonian": "X",
@@ -157,13 +157,52 @@ def test_scenario_law_wrapping():
                                 "base_op": "X"})
     del cfg["scenario"]["noise_op"]
     scn2 = scenario.resolve(cfg)
-    assert np.allclose(scn2.noise_operator(),
+    assert np.allclose(scn2.S,
                        np.kron(qstate.SIGMA_X, np.eye(2)) + np.kron(np.eye(2), qstate.SIGMA_X))
     law2 = scenario.scenario_law(scn2)
     assert law2.s0 == pytest.approx(0.0)
     want = oracles.two_qubit_law(0.0, 1.0, "pauli")
     grid = np.linspace(0.0, 2 * np.pi, 257)
     assert np.max(np.abs(law2.series.evaluate(grid) - want.evaluate(grid))) < 1e-13
+
+
+def _preset(name, tmp_path, **over):
+    cfg = {s: dict(e) for s, e in scenario.PRESETS[name].items()}
+    for section, entries in over.items():
+        cfg[section].update(entries)
+    cfg["output"]["dir"] = str(tmp_path / name)
+    return cfg
+
+
+def test_resolve_builds_the_operators(tmp_path):
+    X, I = qstate.SIGMA_X, qstate.IDENTITY_2
+    fig7a = scenario.resolve(_preset("fig7a", tmp_path))
+    assert np.array_equal(fig7a.S, np.kron(X, I) + np.kron(I, X))
+    fig5 = scenario.resolve(_preset("fig5", tmp_path))
+    assert np.array_equal(fig5.H, fig5.alpha * X) and fig5.law is None
+    drive = scenario.resolve(minimal_cfg(scenario={"hamiltonian": "control:0.7,0.3,-0.2",
+                                                   "alpha": "1.5"}))
+    assert np.array_equal(drive.H, 1.5 * qstate.control_hamiltonian(0.7, 0.3, -0.2))
+
+
+@pytest.mark.parametrize("name, over, n_laws", [
+    ("fig4", {"sim": {"t": "0.3", "n_paths": "20"}, "output": {"t_slices": "0.06,0.3"}}, 1),
+    ("fig3", {"sim": {"t": "0.5", "n_paths": "20"}, "output": {"scan_t": "1"}}, 1),
+    ("fig5", {"sim": {"t": "0.5", "n_paths": "20"}}, 0),
+])
+def test_route_and_law_are_decided_once(tmp_path, monkeypatch, name, over, n_laws):
+    """One resolve, run and check take [H, S] once, and build the exact
+    law once on a commuting run and never on a non-commuting one."""
+    calls = {"commutator": 0, "spectral_law": 0}
+    for module, attr in ((qstate, "commutator"), (laws, "spectral_law")):
+        def counted(*args, _fn=getattr(module, attr), _attr=attr):
+            calls[_attr] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, attr, counted)
+    scn = scenario.resolve(_preset(name, tmp_path, **over))
+    scenario.check_run(scenario.run_scenario(scn))
+    assert calls == {"commutator": 1, "spectral_law": n_laws}
+    assert (scn.law is not None) == bool(n_laws)
 
 
 def test_preset_scenarios_resolve():
