@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sselab import qstate
+from sselab import qstate, scenario
 
 
 def test_pauli_algebra():
@@ -42,15 +42,30 @@ def test_control_hamiltonian_matrix():
     assert np.allclose(h, h.conj().T)
 
 
-def test_named_operator_lookup():
+def test_build_operator_names_and_compositions():
     named = {"I": qstate.IDENTITY_2, "X": qstate.SIGMA_X, "Y": qstate.SIGMA_Y,
              "Z": qstate.SIGMA_Z, "P1": qstate.PROJ_1}
     for name, op in named.items():
         got = qstate.named_operator(name)
         assert np.array_equal(got, op) and got is not op  # a copy the caller may keep
-    for bad in ("Q", "x", "control:1,0,0", ""):
+    # The compositions a config can ask for are built in scenario._build_ops.
+    X, I = qstate.SIGMA_X, qstate.IDENTITY_2
+    H, S = scenario._build_ops("twoqubit", "X", "none", 1.0, 4)
+    assert np.array_equal(S, np.kron(X, I) + np.kron(I, X))
+    assert np.array_equal(H, np.zeros((4, 4)))
+    H, S = scenario._build_ops("qubit", "Z", "control:1,0,0", 2.0, 2)
+    assert np.allclose(H, 2.0 * X)
+    assert np.array_equal(S, qstate.SIGMA_Z)
+
+
+def test_build_operator_rejects_garbage():
+    for bad in ("Q", "x", "control:1,0,0", "", 42, ("control", 1.0)):
         with pytest.raises(ValueError, match="unknown operator name"):
             qstate.named_operator(bad)
+    with pytest.raises(scenario.ConfigError, match="omega,phase,delta"):
+        scenario._build_ops("qubit", "Z", "control:1.0", 1.0, 2)
+    with pytest.raises(ValueError, match="unknown operator name"):
+        scenario._build_ops("qubit", "Q", "none", 1.0, 2)
 
 
 def test_expect_value():
