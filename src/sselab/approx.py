@@ -10,24 +10,21 @@ order is closer at early times but leaves [0, 1] later (near t = 43.7 at
 gamma = 0.2, k = 0.1, s0 = 0).  Acceptance criterion 2 expects the
 reverse, and stays failing until the paper's closure is pinned down.
 
-Each closure matrix is M(t) = A + c(t) B, where c(t) is p or q and B
-is zero but for 2i, -2i in its last row.  D = diag(1, 1, i), or
-diag(1, 1, i, 1, 1, i) at second order, makes D^-1 A D, D^-1 B D and
-D^-1 x_0 real, so the scan runs in real arithmetic in that frame, and
-raises ValueError for a system that is not real there.  Each RK4 step
-is a fixed matrix P_i, and P_i - I is a polynomial in c(t_i),
-c(t_i + h/2) and c(t_i + h) in which, as B has rank one and B^2 = 0,
-only 7 monomials survive.  Their coefficients are expanded once, and a
-chunk's step matrices are their (n, 7) @ (7, d^2) product, taken as one
-small GEMM per step of a block (OpenBLAS threads one 4096-row GEMM, and
-on a loaded 2-core machine that took 8 ms against 0.08 ms for the 64
-small ones).  I is added after it, as an I in the constant coefficient
-would round I + hA alike on every step and bias a long scan.  The
-recurrence x_{i+1} = P_i x_i is a blocked prefix product over about
-sqrt(n) blocks of about sqrt(n) steps: one batched matmul per step of a
-block, one matvec per block to chain the block ends, and one batched
-product for every step's first component.  The working set is one chunk
-of at most 4096 steps.
+The components are real observables (F, G, E[X F'], ...), so each
+closure matrix M(t) = A + c(t) B is real, with c(t) = p or q and B zero
+but for 2, -2 in its last row.  Each RK4 step is a fixed matrix P_i, and
+P_i - I is a polynomial in c(t_i), c(t_i + h/2) and c(t_i + h) in which,
+as B has rank one and B^2 = 0, only 7 monomials survive.  Their
+coefficients are expanded once, and a chunk's step matrices are their
+(n, 7) @ (7, d^2) product, taken as one small GEMM per step of a block
+(OpenBLAS threads one 4096-row GEMM, and on a loaded 2-core machine that
+took 8 ms against 0.08 ms for the 64 small ones).  I is added after it,
+as an I in the constant coefficient would round I + hA alike on every
+step and bias a long scan.  The recurrence x_{i+1} = P_i x_i is a
+blocked prefix product over about sqrt(n) blocks of about sqrt(n) steps:
+one batched matmul per step of a block, one matvec per block to chain
+the block ends, and one batched product for every step's first
+component.  The working set is one chunk of at most 4096 steps.
 """
 
 import math
@@ -42,7 +39,7 @@ DEFAULT_DT = 1e-3
 # short enough that a second-order chunk's step matrices stay at 1.2 MB
 # (4096 x 36 x 8 B).
 _CHUNK = 4096
-# B's last row in the real frame: 2i, -2i in columns dim-3, dim-2, over its i
+# B's last row: 2, -2 in columns dim-3, dim-2
 _B_ROW = np.array([2.0, -2.0])
 
 
@@ -56,43 +53,45 @@ class ClosureSystem:
 
 @dataclass(frozen=True)
 class ClosureSeries:
-    """imag_residue is max_t |Im x_1(t)|, which the real-frame scan makes
-    0 by construction; it is kept as the run's recorded diagnostic."""
+    """imag_residue is always 0.0, as the scan is real; it stays only
+    because the benchmark harness reads it."""
     times: np.ndarray
     fidelity: np.ndarray
     imag_residue: float
 
 
+def _system(gamma, k, s0, a):
+    """The closure with matrix a; order len(a) // 3 sets c(t) = k E[X_t^2]
+    - order gamma^2, with E[X_t^2] for a path started at 0 the variance of
+    its increment."""
+    model, shift = noise_mod.ou_noise(gamma, k), len(a) // 3 * gamma**2
+    v0 = np.zeros(len(a))
+    v0[:2] = 1.0, s0**2
+    return ClosureSystem(a=np.array(a, dtype=float), v0=v0,
+                         c_fn=lambda t: k * noise_mod.increment_variance(model, t) - shift)
+
+
 def first_order_system(gamma, k, s0):
-    """The 3-component closure; c(t) = p(t) = k E[X_t^2] - gamma^2, with
-    E[X_t^2] for a path started at 0 the variance of its increment."""
-    g2, model = gamma**2, noise_mod.ou_noise(gamma, k)
-    a = np.array([
-        [-g2, g2, 1j * k],
-        [g2, -g2, -1j * k],
+    """The 3-component closure; c(t) = p(t) = k E[X_t^2] - gamma^2."""
+    g2 = gamma**2
+    return _system(gamma, k, s0, [
+        [-g2, g2, -k],
+        [g2, -g2, k],
         [0, 0, -(k + 2 * g2)],
-    ], dtype=complex)
-    return ClosureSystem(
-        a=a, v0=np.array([1.0, s0**2, 0.0], dtype=complex),
-        c_fn=lambda t: k * noise_mod.increment_variance(model, t) - g2,
-    )
+    ])
 
 
 def second_order_system(gamma, k, s0):
     """The 6-component closure; c(t) = q(t) = k E[X_t^2] - 2 gamma^2."""
-    g2, model = gamma**2, noise_mod.ou_noise(gamma, k)
-    a = np.array([
-        [-g2, g2, 1j * k, 0, 0, 0],
-        [g2, -g2, -1j * k, 0, 0, 0],
-        [-2j * g2, 2j * g2, -(k + 2 * g2), 2j * k, -2j * k, 0],
-        [g2, 0, -2j * g2, -(2 * k + g2), g2, 1j * k],
-        [0, g2, 2j * g2, g2, -(2 * k + g2), -1j * k],
+    g2 = gamma**2
+    return _system(gamma, k, s0, [
+        [-g2, g2, -k, 0, 0, 0],
+        [g2, -g2, k, 0, 0, 0],
+        [-2 * g2, 2 * g2, -(k + 2 * g2), 2 * k, -2 * k, 0],
+        [g2, 0, 2 * g2, -(2 * k + g2), g2, -k],
+        [0, g2, -2 * g2, g2, -(2 * k + g2), k],
         [0, 0, 2 * g2, 0, 0, -(3 * k + 2 * g2)],
-    ], dtype=complex)
-    return ClosureSystem(
-        a=a, v0=np.array([1.0, s0**2, 0.0, 0.0, 0.0, 0.0], dtype=complex),
-        c_fn=lambda t: k * noise_mod.increment_variance(model, t) - 2 * g2,
-    )
+    ])
 
 
 def _step_coefficients(a, b, h):
@@ -115,27 +114,18 @@ def _step_coefficients(a, b, h):
 
 
 def integrate_closure(system, T, dt=DEFAULT_DT):
-    """Classical RK4 on x' = M(t) x; returns the mean-fidelity series.
-
-    fidelity[i] = x_1(t_i).  ValueError if the system is not real in the
-    frame D (module docstring); a complex c(t) fails the in-place product
-    that weights the monomials.
-    """
+    """Classical RK4 on x' = M(t) x: the mean-fidelity series x_1(t_i)."""
     if not (0.0 <= T < np.inf and 0.0 < dt < np.inf):
         raise ValueError(f"need a finite T >= 0 and dt > 0, got T={T!r}, dt={dt!r}")
     n_steps = int(round(T / dt))
     if abs(T / dt - n_steps) > 1e-9 * max(1.0, T / dt):
         raise ValueError("T/dt must be an integer")
-    d = len(system.v0)
-    frame = np.where(np.arange(d) % 3 == 2, 1j, 1.0)
-    a, x = system.a / frame[:, None] * frame, system.v0 / frame
-    if np.any(a.imag != 0) or np.any(x.imag != 0):
-        raise ValueError("the closure system is not real in the frame diag(1, 1, i, ...)")
+    x = system.v0
+    d = len(x)
     b = np.zeros((d, d))
     b[-1, -3:-1] = _B_ROW
     # the c(t) c(t + h/2) c(t + h) coefficient is b (..) b b (..) = 0
-    coef = _step_coefficients(a.real, b, dt)[:7].reshape(7, d * d)
-    x = x.real
+    coef = _step_coefficients(system.a, b, dt)[:7].reshape(7, d * d)
     first = np.full(n_steps + 1, x[0])
     for start in range(0, n_steps, _CHUNK):
         n = min(_CHUNK, n_steps - start)

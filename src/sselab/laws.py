@@ -43,22 +43,13 @@ class CosineSeries:
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
         for m, c in self.terms:
-            if m == 0:
-                out += c
-            else:
-                out += c * np.cos(m * x)
+            out += c * np.cos(m * x)  # c cos(0 x) is c for finite x
         return out if out.ndim else float(out)
 
 
 def _make_series(coeffs):
-    """Canonicalize a {harmonic: coefficient} dict into a CosineSeries."""
-    merged = {}
-    for m, c in coeffs.items():
-        if m < 0:
-            raise ValueError("harmonics must be non-negative")
-        merged[m] = merged.get(m, 0.0) + c
-    terms = tuple(sorted((m, c) for m, c in merged.items() if c != 0.0))
-    return CosineSeries(terms=terms)
+    """Canonicalize a {harmonic m >= 0: coefficient} dict into a CosineSeries."""
+    return CosineSeries(terms=tuple(sorted((m, c) for m, c in coeffs.items() if c != 0.0)))
 
 
 def spectral_law(S, phi0):

@@ -86,6 +86,7 @@ MAX_CLOSURE_STEPS = 10**6     # RK4 steps of each closure scan
 ROUNDOFF_FLOOR = 1e-12        # gaps below this never fail check_run's mean gate
 LAW_QUANTILES = 2**14         # normal quantiles of Delta X a slice's reference is taken at
 KS_ALPHA = 0.01               # check_run's family-wise false-alarm rate over a run's slices
+SLICE_FILE = "distribution_t{:g}.csv"  # %g keeps 6 digits, so _validate rejects slices it merges
 
 
 class ConfigError(ValueError):
@@ -265,9 +266,13 @@ def _validate(scn):
                               f"got {scn.alpha!r}")
     if scn.name == "distribution" and not scn.t_slices:
         raise ConfigError("distribution scenarios need t_slices")
+    named = {}
     for t in scn.t_slices:
         if _slot_for(scn, t) is None:
             raise ConfigError(f"t_slice {t} is not on the recording grid")
+        if (other := named.setdefault(SLICE_FILE.format(t), t)) != t:
+            raise ConfigError(f"t_slices {other!r} and {t!r} would both write "
+                              f"{SLICE_FILE.format(t)}")
 
 
 def _check_out_dir(path):
@@ -369,7 +374,7 @@ class RunResult:
     analytic_var: np.ndarray
     slice_samples: dict       # t -> (mc samples, the exact law at LAW_QUANTILES quantiles)
     closure: dict             # {} or {"times", "first", "second", "exact"}
-    diagnostics: dict         # analytic_series' and the closures'; run.json adds the paths'
+    diagnostics: dict         # analytic_series'; run.json adds the paths'
     check_failures: tuple = ()  # check_run's failures, also in run.json
     files: tuple = ()
 
@@ -413,8 +418,6 @@ def run_scenario(scn):
             "second": second.fidelity[::stride],
             "exact": laws_mod.series_mean_variance(law.series, scn.model, ctimes)[0],
         }
-        diagnostics["closure_imag_residue"] = {
-            "first_order": first.imag_residue, "second_order": second.imag_residue}
     marks.append(clock())
 
     result = RunResult(
@@ -479,7 +482,7 @@ def _write_artifacts(result):
     )]
     for t, (mc, _) in sorted(result.slice_samples.items()):
         files.append(_write_csv(
-            os.path.join(scn.out_dir, f"distribution_t{t:g}.csv"), "mc_F", (mc,)))
+            os.path.join(scn.out_dir, SLICE_FILE.format(t)), "mc_F", (mc,)))
     closure = result.closure
     if closure:
         files.append(_write_csv(
@@ -530,10 +533,13 @@ def check_run(result):
     A run whose H and S do not commute is held to its Magnus mean within
     the trusted window t <= 5/alpha (run.json's `check_window_end`); a
     commuting one to its exact law's mean, 3 stderr at each recorded time,
-    and its slices to the law's CDF within `ks_bound`."""
+    and its slices to the law's CDF within `ks_bound`.  A run of fewer
+    than 2 completed paths fails, as no stderr is finite and no mean gate
+    could run."""
+    scn, s = result.scenario, result.sim.summary
+    if s.n_effective < 2:
+        return [f"the mean gate needs at least 2 completed paths, this run has {s.n_effective}"]
     failures = []
-    scn = result.scenario
-    s = result.sim.summary
     ok = np.isfinite(result.analytic_mean) & np.isfinite(s.stderr_f)
     if scn.law is None:
         window = ok & (s.times <= result.diagnostics["check_window_end"])

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -23,7 +22,7 @@ def matrix_fn(system, t):
     a time array.  The oracle the scan's step matrices are checked against."""
     c = np.asarray(system.c_fn(t))
     m = np.broadcast_to(system.a, c.shape + system.a.shape).copy()
-    m[..., -1, -3:-1] = c[..., None] * np.array([2j, -2j])  # a is zero there
+    m[..., -1, -3:-1] = c[..., None] * np.array([2.0, -2.0])  # a is zero there
     return m
 
 
@@ -39,9 +38,9 @@ def test_first_order_matrix_entries():
     g2 = g * g
     p = k * second_moment(t, g, k) - g2
     assert m.shape == (3, 3)
-    assert m[0, 0] == -g2 and m[0, 1] == g2 and m[0, 2] == 1j * k
-    assert m[1, 2] == -1j * k
-    assert m[2, 0] == 2j * p and m[2, 1] == -2j * p
+    assert m[0, 0] == -g2 and m[0, 1] == g2 and m[0, 2] == -k
+    assert m[1, 2] == k
+    assert m[2, 0] == 2 * p and m[2, 1] == -2 * p
     assert m[2, 2] == -(k + 2 * g2)
     stack = matrix_fn(system, np.array([0.0, t]))
     assert stack.shape == (2, 3, 3) and np.array_equal(stack[1], m)
@@ -55,9 +54,9 @@ def test_second_order_matrix_entries():
     g2 = g * g
     q = k * second_moment(t, g, k) - 2 * g2
     assert m.shape == (6, 6)
-    assert m[2, 0] == -2j * g2 and m[2, 3] == 2j * k
-    assert m[3, 3] == -(2 * k + g2) and m[3, 5] == 1j * k
-    assert m[5, 2] == 2 * g2 and m[5, 3] == 2j * q
+    assert m[2, 0] == -2 * g2 and m[2, 3] == 2 * k
+    assert m[3, 3] == -(2 * k + g2) and m[3, 5] == -k
+    assert m[5, 2] == 2 * g2 and m[5, 3] == 2 * q
     assert m[5, 5] == -(3 * k + 2 * g2)
     # the first-order block is embedded in the upper-left corner
     assert np.allclose(m[:2, :3], matrix_fn(approx.first_order_system(g, k, 0.0), t)[:2, :3])
@@ -70,6 +69,8 @@ def test_closure_systems():
     s1 = approx.first_order_system(0.2, 0.1, 0.0)
     s2 = approx.second_order_system(0.2, 0.1, 0.5)
     assert len(s1.v0) == 3 and len(s2.v0) == 6
+    for s in (s1, s2):
+        assert s.a.dtype == s.v0.dtype == np.float64
     assert s2.v0[1] == 0.25
     ts = np.array([0.0, 0.5])
     assert matrix_fn(s1, ts).shape == (2, 3, 3) and matrix_fn(s2, ts).shape == (2, 6, 6)
@@ -111,7 +112,6 @@ def test_closure_tracks_exact_law_at_early_times():
             exact = exact_pauli_mean(series.times, g, k, s0)
         gap = np.abs(series.fidelity - exact)
         assert gap.max() < 0.02
-        assert series.imag_residue < 1e-10
 
 
 def test_second_order_dominates_first():
@@ -136,11 +136,10 @@ def test_long_time_closure_breakdown_is_reported_not_hidden():
 
 
 def rk4_loop(system, T, dt=approx.DEFAULT_DT):
-    """The step-by-step classical RK4 that integrate_closure batches:
-    (fidelity series, max |Im x_1| over the steps)."""
-    x = system.v0.astype(complex).copy()
-    fid = [x[0].real]
-    residue = 0.0
+    """The step-by-step classical RK4 that integrate_closure batches: the
+    fidelity series."""
+    x = system.v0.copy()
+    fid = [x[0]]
     for i in range(int(round(T / dt))):
         t = i * dt
         m0, mh, m1 = (matrix_fn(system, s) for s in (t, t + 0.5 * dt, t + dt))
@@ -149,9 +148,8 @@ def rk4_loop(system, T, dt=approx.DEFAULT_DT):
         k3 = mh @ (x + 0.5 * dt * k2)
         k4 = m1 @ (x + dt * k3)
         x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        fid.append(x[0].real)
-        residue = max(residue, abs(x[0].imag))
-    return np.array(fid), residue
+        fid.append(x[0])
+    return np.array(fid)
 
 
 @pytest.mark.parametrize("make", [approx.first_order_system, approx.second_order_system])
@@ -162,10 +160,10 @@ def test_integrate_closure_matches_rk4_loop(make, g, k, s0):
     # last is part-filled, 1 and 0 steps are the shortest scans
     for T in (10.0, 0.512, 0.001, 0.0):
         series = approx.integrate_closure(system, T)
-        want, residue = rk4_loop(system, T)
+        want = rk4_loop(system, T)
         assert series.times.shape == want.shape
         assert np.abs(series.fidelity - want).max() <= 1e-12
-        assert series.imag_residue == residue
+        assert series.imag_residue == 0.0  # a constant the benchmark harness reads
 
 
 def test_closure_scan_working_set_stays_flat():
@@ -193,10 +191,9 @@ def test_integrate_closure_matches_rk4_loop_around_block_edges(make, g, k, s0, s
     system = make(g, k, s0)
     T = steps * approx.DEFAULT_DT
     series = approx.integrate_closure(system, T)
-    want, residue = rk4_loop(system, T)
+    want = rk4_loop(system, T)
     assert series.times.shape == want.shape == (steps + 1,)
     assert np.abs(series.fidelity - want).max() <= 1e-12
-    assert series.imag_residue == residue
 
 
 def test_integrate_closure_matches_rk4_loop_around_chunk_edges():
@@ -205,12 +202,11 @@ def test_integrate_closure_matches_rk4_loop_around_chunk_edges():
     edge = approx._CHUNK
     for make in (approx.first_order_system, approx.second_order_system):
         system = make(0.7, 1.3, 0.4)
-        want, residue = rk4_loop(system, (edge + 1) * approx.DEFAULT_DT)
+        want = rk4_loop(system, (edge + 1) * approx.DEFAULT_DT)
         for steps in (edge - 1, edge, edge + 1):
             series = approx.integrate_closure(system, steps * approx.DEFAULT_DT)
             assert series.times.shape == (steps + 1,)
             assert np.abs(series.fidelity - want[:steps + 1]).max() <= 1e-12, (make, steps)
-            assert series.imag_residue == residue
 
 
 @pytest.mark.parametrize("make", [approx.first_order_system, approx.second_order_system])
@@ -222,8 +218,8 @@ def test_closure_matrix_is_a_plus_c_times_b(make):
     dim = len(system.v0)
     ts = np.array([0.0, 0.3, 2.0, 40.0])
     c = k * second_moment(ts, g, k) - (dim // 3) * g * g  # dim // 3 is the order
-    b = np.zeros((dim, dim), dtype=complex)
-    b[-1, -3], b[-1, -2] = 2j, -2j
+    b = np.zeros((dim, dim))
+    b[-1, -3], b[-1, -2] = 2.0, -2.0
     want = system.a + c[:, None, None] * b
     assert system.a.shape == (dim, dim)
     assert np.array_equal(system.c_fn(ts), c)
@@ -236,16 +232,3 @@ def test_closure_matrix_is_a_plus_c_times_b(make):
 def test_integrate_closure_rejects_bad_T(T):
     with pytest.raises(ValueError, match=r"T >= 0.*T="):
         approx.integrate_closure(approx.first_order_system(0.2, 0.1, 0.0), T)
-
-
-@pytest.mark.parametrize("make", [approx.first_order_system, approx.second_order_system])
-def test_integrate_closure_rejects_a_system_not_real_in_its_frame(make):
-    system = make(0.2, 0.1, 0.0)
-    a = system.a.copy()
-    a[0, -1] = 0.5  # D^-1 a D holds 0.5i there
-    with pytest.raises(ValueError, match="not real"):
-        approx.integrate_closure(dataclasses.replace(system, a=a), 0.01)
-    v0 = system.v0.copy()
-    v0[2] = 1.0  # D^-1 v0 holds -i there
-    with pytest.raises(ValueError, match="not real"):
-        approx.integrate_closure(dataclasses.replace(system, v0=v0), 0.01)

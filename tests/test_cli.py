@@ -65,8 +65,7 @@ def test_run_config_file(tmp_path, capsys):
     assert diag["n_paths"] == diag["n_effective"] == 40 and diag["aborted"] == []
     assert 0 <= diag["max_norm_drift"] < 1e-3 and 0 <= diag["max_range_violation"] < 1e-6
     assert diag["sde_kernel"] == "diagonal" and diag["sde_amplitudes"] == 2
-    assert not {"epsilon_sq", "check_window_end", "magnus_out_of_range",
-                "closure_imag_residue"} & set(diag)
+    assert not {"epsilon_sq", "check_window_end", "magnus_out_of_range"} & set(diag)
 
 
 def test_run_json_names_aborted_paths(tmp_path, capsys):
@@ -115,9 +114,8 @@ def test_run_json_records_approximation_diagnostics(tmp_path):
 
     assert cli.main(["run", write_config(tmp_path, text=APPROX_INI, out=tmp_path / "ap")]) == 0
     diag = json.loads((tmp_path / "ap" / "run.json").read_text())["diagnostics"]
-    residue = diag["closure_imag_residue"]
-    assert set(residue) == {"first_order", "second_order"}
-    assert all(0 <= r < 1e-9 for r in residue.values()), residue
+    # the closure scan is real, so there is no imaginary residue to record
+    assert "closure_imag_residue" not in diag and "epsilon_sq" not in diag
 
 
 # Drives and noise operators that do not commute, under kinds that once
@@ -214,6 +212,20 @@ def test_check_passes_on_healthy_run(tmp_path, capsys):
     assert "checks passed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("kind, slices", [("pauli", ""), ("distribution", "0.1,0.5")])
+def test_check_fails_a_run_of_one_path(tmp_path, capsys, kind, slices):
+    # one path has no finite stderr, so no mean gate can pass it
+    text = TINY_INI.replace("kind = pauli", f"kind = {kind}")
+    if slices:
+        text = text.replace("[output]", f"[output]\nt_slices = {slices}")
+    cfg = write_config(tmp_path, text=text, out=tmp_path / "one")
+    assert cli.main(["run", cfg, "--paths", "1", "--check"]) == 2
+    captured = capsys.readouterr()
+    assert "checks passed" not in captured.out
+    assert captured.err.splitlines() == [
+        "check failed: the mean gate needs at least 2 completed paths, this run has 1"]
+
+
 def test_run_json_records_check_outcome(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, out=tmp_path / "ok")
     blobs = []
@@ -280,6 +292,11 @@ APPROX_INI = TINY_INI.replace("kind = pauli", "kind = approx-order").replace(
 BAD_VALUES = {
     "t_slice_off_grid": TINY_INI.replace("kind = pauli", "kind = distribution").replace(
         "[output]", "[output]\nt_slices = 0.07"),
+    # both slices would write distribution_t100000.csv
+    "t_slices_same_file": TINY_INI.replace("kind = pauli", "kind = distribution").replace(
+        "dt = 0.01", "dt = 0.1").replace("t = 0.5", "t = 100000.2").replace(
+        "n_paths = 40", "n_paths = 2").replace("record_every = 10", "record_every = 1").replace(
+        "[output]", "[output]\nt_slices = 100000.1,100000.2"),
     "gamma_nan": TINY_INI.replace("gamma = 0.2", "gamma = nan"),
     "t_negative": TINY_INI.replace("t = 0.5", "t = -1"),
     "scan_t_negative": APPROX_INI.replace("[output]", "[output]\nscan_t = -1"),
@@ -348,6 +365,8 @@ def test_bad_values_rejected_before_any_compute(tmp_path, capsys, case):
         assert "k*dt = 10 > 2" in err[0] and "by 41 per step" in err[0], err
     if case.startswith(("path_steps", "recorded_values", "closure_scan")):
         assert "exceed MAX_" in err[0], err
+    if case == "t_slices_same_file":
+        assert err[0].endswith("would both write distribution_t100000.csv"), err
     if case in OPERATOR_ERRORS:
         assert err[0] == f"config error: {OPERATOR_ERRORS[case]}", err
     if "_not_read_by_" in case:

@@ -5,7 +5,8 @@ correct; the closed forms the tests check against live in
 `tests/oracles.py` instead.  This walks the syntax tree of each module
 in `src/sselab` and asks that every module-level function and class,
 and every method other than a dunder, be named somewhere in the package
-outside its own definition.
+outside its own definition.  An exemption is stale, and fails the test,
+once the package names it there too, or no longer defines it.
 """
 
 import ast
@@ -46,15 +47,17 @@ def test_every_definition_is_named_outside_itself():
     trees = {p.stem: ast.parse(p.read_text(), filename=str(p))
              for p in sorted(PACKAGE.glob("*.py"))}
     refs = {module: list(references(tree)) for module, tree in trees.items()}
-    defined, unused = set(), []
+    defined, unused, stale = set(), [], []
     for module, tree in trees.items():
         for qualified, name, node in definitions(module, tree):
             defined.add(qualified)
-            if qualified in EXEMPT:
-                continue
             inside = range(node.lineno, node.end_lineno + 1)
-            if not any(ref == name and (other != module or line not in inside)
-                       for other, found in refs.items() for ref, line in found):
+            used = any(ref == name and (other != module or line not in inside)
+                       for other, found in refs.items() for ref, line in found)
+            if qualified in EXEMPT and used:
+                stale.append(qualified)
+            elif qualified not in EXEMPT and not used:
                 unused.append(qualified)
     assert defined >= EXEMPT, f"stale exemptions {sorted(EXEMPT - defined)}"
+    assert not stale, f"stale exemptions, now named elsewhere in the package: {stale}"
     assert not unused, f"named nowhere else in the package: {unused}"
