@@ -25,7 +25,7 @@ def main():
     for name, S, phi0 in cases:
         law = laws.spectral_law(S, phi0)
         cfg = sde.SimConfig(dt=1e-4, T=1.0, n_paths=N_PATHS, master_seed=7,
-                            record_every=100, keep_states=True)
+                            record_every=100)
         model = noise.white_noise(GAMMA)
         res = sde.simulate_paths(np.zeros_like(S), S, model, phi0, cfg)
         worst = 0.0

@@ -81,7 +81,7 @@ _KIND_KEYS = {
 # closures for 1.5e5 steps.  A config above a ceiling would run for many
 # minutes or fail to allocate its arrays.
 MAX_PATH_STEPS = 10**9        # n_paths x n_steps
-MAX_RECORDED = 10**7          # n_paths x recorded times: 8 bytes each
+MAX_RECORDED = 10**7          # n_paths x recorded times: F and X, 16 bytes each
 MAX_CLOSURE_STEPS = 10**6     # RK4 steps of each closure scan
 ROUNDOFF_FLOOR = 1e-12        # gaps below this never fail check_run's mean gate
 LAW_QUANTILES = 2**14         # normal quantiles of Delta X a slice's reference is taken at
@@ -531,20 +531,28 @@ def check_run(result):
     """Figure-level sanity thresholds; list of failure strings (empty = ok).
 
     A run whose H and S do not commute is held to its Magnus mean within
-    the trusted window t <= 5/alpha (run.json's `check_window_end`); a
-    commuting one to its exact law's mean, 3 stderr at each recorded time,
-    and its slices to the law's CDF within `ks_bound`.  A run of fewer
-    than 2 completed paths fails, as no stderr is finite and no mean gate
-    could run."""
+    the trusted window t <= 5/alpha (run.json's `check_window_end`), and
+    fails when that window holds no recorded time after 0; a commuting
+    one to its exact law's mean, 3 stderr at each recorded time, and its
+    slices to the law's CDF within `ks_bound`.  A run of fewer than 2
+    completed paths fails, as no stderr is finite and no mean gate could
+    run."""
     scn, s = result.scenario, result.sim.summary
     if s.n_effective < 2:
         return [f"the mean gate needs at least 2 completed paths, this run has {s.n_effective}"]
     failures = []
     ok = np.isfinite(result.analytic_mean) & np.isfinite(s.stderr_f)
     if scn.law is None:
-        window = ok & (s.times <= result.diagnostics["check_window_end"])
+        end = result.diagnostics["check_window_end"]
+        window = ok & (s.times <= end)
         gap = np.abs(s.mean_f[window] - result.analytic_mean[window])
-        if gap.size and gap.max() > 0.02:
+        if not window[1:].any():
+            first = f"t={s.times[1]:g}" if len(s.times) > 1 else "none"
+            failures.append(
+                f"the trusted window t <= {end:g} holds no recorded time after 0 with a "
+                f"finite Magnus mean and stderr (first recorded time after 0: {first})"
+            )
+        elif gap.max() > 0.02:
             failures.append(
                 f"MC mean deviates from the Magnus mean by {gap.max():.3g} "
                 "(> 0.02) within the trusted window"

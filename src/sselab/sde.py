@@ -32,7 +32,7 @@ components with equal step factors (`_occupied_classes`).  An inert
 class, where S and H vanish and every factor is 1, is not stepped when
 another class is occupied: the run carries its part c u of psi, the
 same on every path, as the constant c = u'phi0, adding |c|^2 to each
-squared norm, <phi_t|u> c to each overlap and c u to each kept state.
+squared norm and <phi_t|u> c to each overlap.
 Under the collective S = X (x) I + I (x) X, |00> steps 2 amplitudes,
 not 4 (as does GHZ, which has no weight on the inert class), and under
 P1 |+> steps 1.  Below, V stands for that reduced basis.
@@ -46,11 +46,11 @@ linear map, so the renormalized state at any step is the stack's entry
 divided by its norm, and the norm a renormalized step produces is the
 ratio of consecutive norms.  One pass over the stack after the loop
 then gives the norms, the abort test (non-finite or > ABORT_NORM norm,
-non-finite X), the norm drift, and the fidelities and kept states at
-the recorded steps; kept states are mapped back to psi with V at the
-end.  The weights are stored monomial-major, each monomial's weights
-over the chunk one contiguous (steps, paths) slab, and each step's
-factors come from a small product over that step's strided view.
+non-finite X), the norm drift, and the fidelities at the recorded
+steps, where every run also keeps X.  The weights are stored
+monomial-major, each monomial's weights over the chunk one contiguous
+(steps, paths) slab, and each step's factors come from a small product
+over that step's strided view.
 Every array a chunk uses is allocated once per run and written in
 place: the weights' constant slab once, their other slabs, the X path
 and the normals of the chunk (copied from the block, step-major) per
@@ -83,7 +83,6 @@ in the state each path left.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -136,7 +135,6 @@ class SimConfig:
     n_paths: int = 1
     master_seed: int = 0
     record_every: int = 1
-    keep_states: bool = False
 
     def __post_init__(self):
         if not 0 < self.dt < math.inf:
@@ -174,10 +172,9 @@ class SimulationResult:
     times: np.ndarray
     fidelities: np.ndarray        # (n_completed, n_rec), clamped to [0,1]
     path_indices: np.ndarray      # original path ids of the rows above
-    initial_x: np.ndarray
-    terminal_x: np.ndarray
-    states: Optional[np.ndarray]  # (n_completed, n_rec, d) if keep_states
-    xs: Optional[np.ndarray]      # (n_completed, n_rec) noise values, likewise
+    xs: np.ndarray                # (n_completed, n_rec) noise values X at the recorded times
+    initial_x: np.ndarray         # xs[:, 0]
+    terminal_x: np.ndarray        # xs[:, -1]
     summary: SummaryTable
     aborted: tuple                # ((path index, step index), ...)
     max_norm_drift: float
@@ -361,9 +358,9 @@ def _resolve_workers(config):
 def simulate_paths(H, S, model, phi0, config):
     """Integrate n_paths of the joint SDE; deterministic in master_seed.
 
-    Returns a SimulationResult with per-path fidelity series against the
-    noiseless target, summary statistics per recorded time, and abort
-    diagnostics.  More than 1% aborted paths raises PathAbortError; a
+    Returns a SimulationResult with per-path series of the fidelity
+    against the noiseless target and of the noise value X, summary
+    statistics per recorded time, and abort diagnostics.  More than 1% aborted paths raises PathAbortError; a
     pre-clamp fidelity excursion beyond 1e-6 raises FidelityRangeError.
     """
     phi0 = qstate.as_state(phi0)
@@ -383,14 +380,11 @@ def simulate_paths(H, S, model, phi0, config):
         V, lam, u = _occupied_classes(V, lam, phi0)
     # the amplitudes stepped per path: the columns of V
     amps = V.shape[1]
-    # kept states come back over V and the inert direction u, if any
-    out_basis = V if u is None else np.column_stack([V, u])
     rolls = [(np.arange(amps) + o) % amps for o in shifts[1:]]
 
     n_paths = config.n_paths
     fids = np.empty((n_paths, n_rec))
-    states = np.empty((n_paths, n_rec, 2 * out_basis.shape[1])) if config.keep_states else None
-    xs = np.empty((n_paths, n_rec)) if config.keep_states else None
+    xs = np.empty((n_paths, n_rec))
     abort_step = np.full(n_paths, -1, dtype=np.int64)
     drift = 0.0
 
@@ -473,23 +467,6 @@ def simulate_paths(H, S, model, phi0, config):
         anchor_sq = anchor.real ** 2 + anchor.imag ** 2
         anchor_ov = (np.conj(phis @ u.conj()) * anchor).view(float).reshape(n_rec, 2)
 
-    def record(rows, slots, sq, xrows):
-        # F = |<phi|psi>|^2 / |psi|^2 (the state is unnormalized); rows of
-        # aborted paths are recorded too, and dropped at the end
-        P = Psi[rows]
-        f = _overlap_sq(P, targets[slots], None if u is None else anchor_ov[slots])
-        if renorm:
-            f /= sq
-        fids[:, slots] = f.T
-        if states is not None:
-            if renorm:
-                P /= np.sqrt(sq)[:, None]
-            states[:, slots, :2 * amps] = P.transpose(2, 0, 1)
-            if u is not None:
-                states.view(complex)[:, slots, amps] = (anchor / np.sqrt(sq) if renorm
-                                                        else anchor).T
-            xs[:, slots] = xrows.T
-
     step_no = 0
     # A path that dies inside a chunk runs on to the chunk's end and may
     # overflow there; its rows are dropped, so that stays silent.
@@ -497,7 +474,7 @@ def simulate_paths(H, S, model, phi0, config):
         _sq_norms(Psi[:1], out=sq[:1])
         if u is not None:
             sq[:1] += anchor_sq
-        record([0], [0], sq[:1], X[:1])
+        xs[:, 0] = x0s
         # F at t = 0 from phi0 itself (1 for a basis state and H = 0), which
         # the coordinates V'phi0 would give only to round-off
         P0 = np.ascontiguousarray(phi0).view(float)[None, :, None]
@@ -574,9 +551,17 @@ def simulate_paths(H, S, model, phi0, config):
                 else:
                     dev = np.abs(np.subtract(norms, 1.0, out=norms), out=norms)
                     drift = max(drift, float(np.where(live, dev, 0.0).max()))
+                # F = |<phi|psi>|^2 / |psi|^2 (the state is unnormalized);
+                # rows of aborted paths are recorded too, and dropped at the end
                 rec = np.arange(rec_every - step_no % rec_every, nc + 1, rec_every)
                 if len(rec):
-                    record(rec, (step_no + rec) // rec_every, sq[rec], X[rec])
+                    slots = (step_no + rec) // rec_every
+                    f = _overlap_sq(Psi[rec], targets[slots],
+                                    None if u is None else anchor_ov[slots])
+                    if renorm:
+                        f /= sq[rec]
+                    fids[:, slots] = f.T
+                    xs[:, slots] = X[rec].T
                 C[0] = C[nc]
                 X[0] = X[nc]
                 sq[0] = sq[nc]
@@ -596,8 +581,7 @@ def simulate_paths(H, S, model, phi0, config):
         )
     rows = np.flatnonzero(alive)
     fid_rows = fids[rows]
-    if states is not None:
-        states = states[rows].view(complex) @ out_basis.T
+    xs = xs[rows]
 
     violation = 0.0
     if fid_rows.size:
@@ -629,10 +613,9 @@ def simulate_paths(H, S, model, phi0, config):
         times=times,
         fidelities=fid_rows,
         path_indices=rows,
-        initial_x=x0s[rows],
-        terminal_x=X[0][rows],
-        states=states,
-        xs=None if xs is None else xs[rows],
+        xs=xs,
+        initial_x=xs[:, 0],
+        terminal_x=xs[:, -1],
         summary=summary,
         aborted=aborted,
         max_norm_drift=drift,

@@ -32,7 +32,7 @@ def mean_at_variance(law, v):
 
 def pathwise_gaps(H, S, phi0, law, n_paths, seed):
     cfg = sde.SimConfig(dt=1e-4, T=1.0, n_paths=n_paths, master_seed=seed,
-                        record_every=20, keep_states=True)
+                        record_every=20)
     model = noise.white_noise(GAMMA)
     res = sde.simulate_paths(H, S, model, phi0, cfg)
     worst = 0.0

@@ -226,6 +226,25 @@ def test_check_fails_a_run_of_one_path(tmp_path, capsys, kind, slices):
         "check failed: the mean gate needs at least 2 completed paths, this run has 1"]
 
 
+def test_check_fails_a_window_without_a_recorded_time(tmp_path, capsys):
+    # At alpha = 100 the Magnus window t <= 5/alpha ends at 0.05, before the
+    # first recorded time after 0 (0.1): the gate would compare t = 0 alone,
+    # where both means read 1, so the run fails its check instead.
+    text = TINY_INI.replace("kind = pauli", "kind = noncommuting").replace(
+        "noise_op = X", "hamiltonian = X\nnoise_op = Z\nalpha = 100").replace(
+        "dt = 0.01", "dt = 0.0001").replace("record_every = 10", "record_every = 1000")
+    out = tmp_path / "window"
+    assert cli.main(["run", write_config(tmp_path, text=text, out=out), "--check"]) == 2
+    captured = capsys.readouterr()
+    assert "checks passed" not in captured.out
+    assert captured.err.splitlines() == [
+        "check failed: the trusted window t <= 0.05 holds no recorded time after 0 with a "
+        "finite Magnus mean and stderr (first recorded time after 0: t=0.1)"]
+    doc = json.loads((out / "run.json").read_text())
+    assert doc["diagnostics"]["check_window_end"] == 0.05
+    assert doc["check"]["passed"] is False
+
+
 def test_run_json_records_check_outcome(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, out=tmp_path / "ok")
     blobs = []

@@ -7,6 +7,11 @@ in `src/sselab` and asks that every module-level function and class,
 and every method other than a dunder, be named somewhere in the package
 outside its own definition.  An exemption is stale, and fails the test,
 once the package names it there too, or no longer defines it.
+
+A dataclass field with a default is an option in the same way: one that
+no package code sets is a branch only tests take.  Each such field must
+be set somewhere in the package, as a keyword of a call (`replace`
+included) or by an attribute assignment.
 """
 
 import ast
@@ -20,6 +25,12 @@ EXEMPT = {
     # returns 1; the benchmark harness reads it for its worker count
     "sde._resolve_workers",
 }
+
+
+def package_trees():
+    """The syntax tree of each module, by module name."""
+    return {p.stem: ast.parse(p.read_text(), filename=str(p))
+            for p in sorted(PACKAGE.glob("*.py"))}
 
 
 def definitions(module, tree):
@@ -43,9 +54,37 @@ def references(tree):
             yield node.attr, node.lineno
 
 
+def defaulted_fields(module, tree):
+    """(qualified name, field name) of each dataclass field with a default."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(getattr(d, "func", d), "id", None) == "dataclass"
+                for d in node.decorator_list):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and item.value is not None:
+                    yield f"{module}.{node.name}.{item.target.id}", item.target.id
+
+
+def assigned_names(tree):
+    """Every name the tree sets: call keywords and assigned attributes."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and node.arg:
+            yield node.arg
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            yield node.attr
+
+
+def test_every_defaulted_dataclass_field_is_set():
+    trees = package_trees()
+    fields = [f for module, tree in trees.items() for f in defaulted_fields(module, tree)]
+    assert fields
+    set_names = {name for tree in trees.values() for name in assigned_names(tree)}
+    unset = [qualified for qualified, name in fields if name not in set_names]
+    assert not unset, f"defaulted dataclass fields the package never sets: {unset}"
+
+
 def test_every_definition_is_named_outside_itself():
-    trees = {p.stem: ast.parse(p.read_text(), filename=str(p))
-             for p in sorted(PACKAGE.glob("*.py"))}
+    trees = package_trees()
     refs = {module: list(references(tree)) for module, tree in trees.items()}
     defined, unused, stale = set(), [], []
     for module, tree in trees.items():

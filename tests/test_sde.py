@@ -183,18 +183,16 @@ def test_simulate_paths_matches_step_loop(scheme):
         M = sde._step_map(H, S, model, scheme, 0.01)[0]
         assert sde._eigenbasis(M, H, S)[1] == shifts
         for T in (0.2, 1.5):
-            cfg = sde.SimConfig(dt=0.01, T=T, n_paths=3, master_seed=12, scheme=scheme,
-                                keep_states=True)
+            cfg = sde.SimConfig(dt=0.01, T=T, n_paths=3, master_seed=12, scheme=scheme)
             res = sde.simulate_paths(H, S, model, phi0, cfg)
             assert res.kernel == "dense"
-            assert res.states.shape == (3, cfg.n_steps + 1, 4)
+            assert res.xs.shape == res.fidelities.shape == (3, cfg.n_steps + 1)
             targets = sde.target_evolution(H, phi0, res.times)
             for i in range(3):
                 stream = np.random.Generator(
                     np.random.Philox(key=np.array([12, i], dtype=np.uint64)))
                 Y = JointState(psi=phi0, x=_initial_x(model, stream))
                 for j in range(cfg.n_steps + 1):
-                    assert np.max(np.abs(res.states[i, j] - Y.psi)) < 1e-13
                     assert abs(res.xs[i, j] - Y.x) < 1e-13
                     assert abs(res.fidelities[i, j] - abs(np.vdot(targets[j], Y.psi)) ** 2) < 1e-13
                     if j < cfg.n_steps:
@@ -264,8 +262,7 @@ def test_diagonal_kernel_matches_step_loop(case, scheme, renormalize):
     phi0 = qstate.as_state(phi0)
     model = noise.ou_noise(0.3, 0.7, init=noise.STATIONARY)
     cfg = sde.SimConfig(dt=0.01, T=1.5, n_paths=3, master_seed=12, scheme=scheme,
-                        renormalize=renormalize, record_every=1 if renormalize else 150,
-                        keep_states=True)
+                        renormalize=renormalize, record_every=1 if renormalize else 150)
     V, _, lam = sde._eigenbasis(sde._step_map(H, S, model, scheme, cfg.dt)[0], H, S)
     Q, _, u = sde._occupied_classes(V, lam, phi0)
     assert Q.shape[1] + (u is not None) == classes
@@ -283,7 +280,6 @@ def test_diagonal_kernel_matches_step_loop(case, scheme, renormalize):
         for n in range(cfg.n_steps + 1):
             if n % cfg.record_every == 0:
                 j = n // cfg.record_every
-                assert np.max(np.abs(res.states[i, j] - Y.psi)) < 1e-13
                 assert abs(res.xs[i, j] - Y.x) < 1e-13
                 f = abs(np.vdot(targets[j], Y.psi)) ** 2
                 if renormalize:
@@ -468,8 +464,7 @@ def test_noise_path_is_its_plain_recurrence(monkeypatch, model, scheme):
     # own Philox(seed, i) stream as x = ax * x + an * N, bit for bit: the
     # recurrence is neither fused nor reordered, in one block of normals
     # and across blocks of 37 steps (111 normals over 3 paths).
-    cfg = sde.SimConfig(dt=1e-2, T=1.0, n_paths=3, master_seed=9, scheme=scheme,
-                        keep_states=True)
+    cfg = sde.SimConfig(dt=1e-2, T=1.0, n_paths=3, master_seed=9, scheme=scheme)
     _, (ax, an) = sde._step_map(ZERO_H, qstate.SIGMA_X, model, scheme, cfg.dt)
     want = np.empty((cfg.n_paths, cfg.n_steps + 1))
     for i in range(cfg.n_paths):
@@ -496,7 +491,7 @@ def test_noise_path_is_its_plain_recurrence(monkeypatch, model, scheme):
 def test_chunk_length_keeps_output_bit_for_bit(monkeypatch, ops):
     # Chunks of 1, 4, 5 and 37 steps reuse the same buffers across chunks,
     # and a run in them gives the output of one chunk per run, bit for bit,
-    # kept states included, with 6 paths and with one.  The coarse Euler
+    # the recorded X included, with 6 paths and with one.  The coarse Euler
     # run aborts at steps 1, 4, 4, 5 and 11, so chunks of 4 and 5 end on an abort; the OU run's 250
     # steps leave a partial final chunk at 4 and 37.
     H, S, shifts = ops
@@ -506,16 +501,15 @@ def test_chunk_length_keeps_output_bit_for_bit(monkeypatch, ops):
     assert sde._eigenbasis(M, H, S)[1] == shifts
     stationary = noise.ou_noise(0.3, 0.5, init=noise.STATIONARY)
     ou = (stationary, sde.SimConfig(dt=2e-3, T=0.5, n_paths=6, master_seed=5,
-                                    record_every=25, keep_states=True))
+                                    record_every=25))
     # one path, whose weights are a single row for the per-step product
     one = [(stationary, sde.SimConfig(dt=2e-3, T=0.5, n_paths=1, master_seed=5,
-                                      record_every=25, keep_states=True,
-                                      renormalize=renorm))
+                                      record_every=25, renormalize=renorm))
            for renorm in (True, False)]
     coarse = (noise.white_noise(1.45),
               sde.SimConfig(dt=0.05, T=1.0, n_paths=1000, master_seed=3,
-                            scheme=sde.EULER_MARUYAMA, keep_states=True))
-    fields = ("fidelities", "states", "xs", "initial_x", "terminal_x", "path_indices")
+                            scheme=sde.EULER_MARUYAMA))
+    fields = ("fidelities", "xs", "initial_x", "terminal_x", "path_indices")
     for model, cfg in (ou, *one, coarse):
         monkeypatch.setattr(sde, "CHUNK_VALUES", 10**9)
         ref = sde.simulate_paths(H, S, model, phi0, cfg)
@@ -671,7 +665,7 @@ def test_aborted_paths_within_budget():
     # a coarse renormalized Euler run: 5 of 1000 paths blow up, within the 1% budget
     model = noise.white_noise(1.45)
     cfg = sde.SimConfig(dt=0.05, T=1.0, n_paths=1000, master_seed=3,
-                        scheme=sde.EULER_MARUYAMA, keep_states=True)
+                        scheme=sde.EULER_MARUYAMA)
     res = sde.simulate_paths(ZERO_H, qstate.SIGMA_X, model, KET0, cfg)
     dead = [i for i, _ in res.aborted]
     assert 1 <= len(dead) <= 10
@@ -686,35 +680,38 @@ def test_aborted_paths_within_budget():
             for n in range(1, cfg.n_steps + 1):
                 Y = step(Y, ZERO_H, qstate.SIGMA_X, model, cfg, stream)
         assert n == abort_at
-    # states, xs and fidelities share their rows
+    # xs and fidelities share their rows: the live path after each dead
+    # one, replayed, sits in the row path_indices gives it
     n_ok = 1000 - len(dead)
-    assert res.fidelities.shape == (n_ok, 21) and res.states.shape == (n_ok, 21, 2)
-    assert np.allclose(np.abs(res.states[:, :, 0]) ** 2, res.fidelities, atol=1e-12)
-    assert np.array_equal(res.xs[:, 0], res.initial_x)
-    assert np.array_equal(res.xs[:, -1], res.terminal_x)
+    assert res.fidelities.shape == res.xs.shape == (n_ok, 21)
+    after = {i + 1 for i in dead if i + 1 < 1000} - set(dead)
+    assert after
+    for i in sorted(after):
+        row = int(np.flatnonzero(res.path_indices == i)[0])
+        stream = np.random.Generator(
+            np.random.Philox(key=np.array([3, i], dtype=np.uint64)))
+        Y = JointState(psi=KET0, x=_initial_x(model, stream))
+        for n in range(cfg.n_steps + 1):
+            assert abs(res.xs[row, n] - Y.x) < 1e-13
+            assert abs(res.fidelities[row, n] - abs(Y.psi[0]) ** 2) < 1e-12
+            if n < cfg.n_steps:
+                Y = step(Y, ZERO_H, qstate.SIGMA_X, model, cfg, stream)
     # a live path's norm stays in [0.9, 1.5] here; a zeroed dead row would count 1
     assert res.max_norm_drift < 0.5
     assert res.summary.n_effective == n_ok
 
 
-def test_trajectories_recorded_when_asked():
-    model = noise.white_noise(0.2)
-    cfg = sde.SimConfig(dt=1e-2, T=0.1, n_paths=3, master_seed=5,
-                        keep_states=True)
-    res = sde.simulate_paths(ZERO_H, qstate.SIGMA_X, model, KET0, cfg)
-    assert res.states.shape == (3, cfg.n_steps + 1, 2)
-    assert res.xs.shape == (3, cfg.n_steps + 1)
-    assert np.array_equal(res.xs[:, 0], res.initial_x)
-    assert np.array_equal(res.xs[:, -1], res.terminal_x)
-    # recorded fidelities are consistent with the stored states
-    phi = KET0
-    for j, psi in enumerate(res.states[0]):
-        assert abs(abs(np.vdot(phi, psi)) ** 2 - res.fidelities[0, j]) < 1e-12
-        assert abs(np.linalg.norm(psi) - 1.0) < 1e-9
-    plain = sde.simulate_paths(ZERO_H, qstate.SIGMA_X, model, KET0,
-                               sde.SimConfig(dt=1e-2, T=0.1, n_paths=3, master_seed=5))
-    assert plain.states is None and plain.xs is None
-    assert np.array_equal(plain.fidelities, res.fidelities)
+def test_noise_values_recorded_on_every_run():
+    # every run keeps X at its recorded times, one row per completed path;
+    # initial_x and terminal_x are its first and last columns
+    model = noise.ou_noise(0.2, 0.5, init=noise.STATIONARY)
+    for T, record_every in ((0.1, 1), (0.1, 5), (0.0, 1)):
+        cfg = sde.SimConfig(dt=1e-2, T=T, n_paths=3, master_seed=5, record_every=record_every)
+        res = sde.simulate_paths(ZERO_H, qstate.SIGMA_X, model, KET0, cfg)
+        assert res.xs.shape == res.fidelities.shape == (3, len(res.times))
+        assert _same_bits(res.initial_x, res.xs[:, 0])
+        assert _same_bits(res.terminal_x, res.xs[:, -1])
+        assert np.all(res.initial_x != 0.0)
 
 
 def test_summary_table_contents():
